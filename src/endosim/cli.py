@@ -17,6 +17,7 @@ import numpy as np
 
 from . import degrade as degrade_mod
 from . import harness, metrics, phantom, preprocess, readerstats, srcnn
+from .harness import _atomic_write
 from .image import Image, ImageError, load_pgm, save_pgm
 
 DEFAULT_SEED = 17
@@ -33,13 +34,6 @@ class UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message: str) -> None:  # type: ignore[override]
         raise UsageError(message)
-
-
-def _atomic_write(path: str | Path, payload: bytes) -> None:
-    path = Path(path)
-    tmp = path.with_suffix(path.suffix + ".tmp")
-    tmp.write_bytes(payload)
-    tmp.replace(path)
 
 
 def _read_image(path: str) -> Image:
@@ -181,7 +175,6 @@ def _cmd_degrade(args: argparse.Namespace) -> int:
         fiber_diameter_um=args.fiber_diameter,
         inter_fiber_distance_um=args.inter_fiber_distance,
         max_offset_um=args.max_offset,
-        seed=args.seed,
     )
     pair = degrade_mod.degrade(
         _read_image(args.input), cfg, np.random.default_rng(args.seed)

@@ -33,7 +33,6 @@ class DegradationConfig:
     fiber_diameter_um: float = 6.0
     inter_fiber_distance_um: float = 12.0
     max_offset_um: float = 0.0
-    seed: int = 0
 
     def __post_init__(self) -> None:
         if self.pixel_size_um <= 0:

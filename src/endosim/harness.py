@@ -15,6 +15,7 @@ import csv
 import io
 import math
 import time
+import uuid
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
@@ -330,10 +331,23 @@ def sweep_config_from_json(doc: dict) -> SweepConfig:
     return SweepConfig(phantom_specs=tuple(specs), train_config=train_cfg, **kwargs)
 
 
-def _atomic_write(path: Path, payload: bytes) -> None:
-    tmp = path.with_suffix(path.suffix + ".tmp")
-    tmp.write_bytes(payload)
-    tmp.replace(path)
+def _atomic_write(path: str | Path, payload: bytes) -> None:
+    """Write through a temp file in the target directory, then rename.
+
+    The temp name is unique per call, so concurrent writers to one path never
+    share it, and it is removed if the write or the rename fails. Its mode
+    comes from the umask like any other output file's (tempfile.mkstemp
+    would make every output 0600).
+    """
+    path = Path(path)
+    tmp = path.with_name(f"{path.name}.{uuid.uuid4().hex}.tmp")
+    try:
+        with open(tmp, "xb") as fh:
+            fh.write(payload)
+        tmp.replace(path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def line_profile(image: Image, row: int, col_start: int, col_end: int) -> np.ndarray:

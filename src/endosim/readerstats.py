@@ -144,10 +144,8 @@ class TTestResult:
     degenerate_variance: bool = False
 
 
-def unpaired_t_test(
-    group_a: list[float], group_b: list[float], welch: bool = False
-) -> TTestResult:
-    """Two-sample t-test, pooled-variance Student by default.
+def unpaired_t_test(group_a: list[float], group_b: list[float]) -> TTestResult:
+    """Two-sample pooled-variance Student t-test.
 
     The two-sided p-value comes from the regularized incomplete beta
     function: p = I_{df/(df+t^2)}(df/2, 1/2).
@@ -159,24 +157,13 @@ def unpaired_t_test(
     mean_b = sum(group_b) / nb
     var_a = sum((x - mean_a) ** 2 for x in group_a) / (na - 1)
     var_b = sum((x - mean_b) ** 2 for x in group_b) / (nb - 1)
-
-    if welch:
-        se2 = var_a / na + var_b / nb
-        if se2 == 0.0:
-            return _degenerate_t(mean_a, mean_b, na + nb - 2)
-        df_f = se2**2 / (
-            (var_a / na) ** 2 / (na - 1) + (var_b / nb) ** 2 / (nb - 1)
-        )
-        t = (mean_a - mean_b) / math.sqrt(se2)
-        df = df_f
-    else:
-        df = na + nb - 2
-        pooled = ((na - 1) * var_a + (nb - 1) * var_b) / df
-        if pooled == 0.0:
-            return _degenerate_t(mean_a, mean_b, df)
-        t = (mean_a - mean_b) / math.sqrt(pooled * (1.0 / na + 1.0 / nb))
+    df = na + nb - 2
+    pooled = ((na - 1) * var_a + (nb - 1) * var_b) / df
+    if pooled == 0.0:
+        return _degenerate_t(mean_a, mean_b, df)
+    t = (mean_a - mean_b) / math.sqrt(pooled * (1.0 / na + 1.0 / nb))
     p = float(special.betainc(df / 2.0, 0.5, df / (df + t * t)))
-    return TTestResult(t=t, p=p, df=int(df))
+    return TTestResult(t=t, p=p, df=df)
 
 
 def _degenerate_t(mean_a: float, mean_b: float, df: int) -> TTestResult:

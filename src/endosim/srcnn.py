@@ -27,7 +27,6 @@ __all__ = [
     "lrelu",
     "forward",
     "mse_loss",
-    "backward",
     "loss_and_grads",
     "adam_step",
     "train",
@@ -124,40 +123,44 @@ def _im2col(x: np.ndarray, k: int) -> np.ndarray:
 
 
 def conv2d(x: np.ndarray, layer: ConvLayer) -> np.ndarray:
-    """Cross-correlation with zero same-padding; spatial dims preserved."""
+    """Cross-correlation with zero same-padding; spatial dims preserved.
+
+    The k*k expansion goes on the side with fewer channels: im2col of the
+    input when in <= out, otherwise one GEMM contracts the channels into
+    out*k*k tap maps that are shift-added into a zero-padded output.
+    """
     n, c, h, w = x.shape
     if c != layer.in_channels:
         raise ValueError(f"input has {c} channels, layer expects {layer.in_channels}")
-    k = layer.k
-    wf = layer.kernel.reshape(layer.out_channels, -1)
-    if k == 1:
-        y = np.matmul(wf, x.reshape(n, c, h * w)) + layer.bias[:, None]
-        return y.reshape(n, layer.out_channels, h, w)
-    if c == 1:
-        # single-channel patch matrix is small; one GEMM beats k*k shifts
-        cols = _im2col(x, k)
-        y = np.matmul(wf, cols) + layer.bias[:, None]
-        return y.reshape(n, layer.out_channels, h, w)
-    # many-channel path: accumulate one GEMM per kernel tap over the padded
-    # input, avoiding the large strided im2col copy
+    k, out = layer.k, layer.out_channels
+    if k == 1 or c <= out:
+        cols = x.reshape(n, c, h * w) if k == 1 else _im2col(x, k)
+        y = np.matmul(layer.kernel.reshape(out, -1), cols) + layer.bias[:, None]
+        return y.reshape(n, out, h, w)
+    wt = layer.kernel.transpose(0, 2, 3, 1).reshape(out * k * k, c)
+    taps = np.matmul(wt, x.reshape(n, c, h * w)).reshape(n, out, k, k, h, w)
+    # tap (u, v) at input pixel (i, j) feeds output pixel (i - u + p, j - v + p),
+    # i.e. padded position (i + 2p - u, j + 2p - v)
     p = (k - 1) // 2
-    xp = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p)))
-    y = np.zeros((layer.out_channels, n, h, w), dtype=x.dtype)
+    yp = np.zeros((n, out, h + 2 * p, w + 2 * p), dtype=taps.dtype)
     for u in range(k):
         for v in range(k):
-            sl = xp[:, :, u : u + h, v : v + w]
-            y += np.tensordot(layer.kernel[:, :, u, v], sl, axes=([1], [1]))
-    y += layer.bias[:, None, None, None]
-    return np.ascontiguousarray(y.transpose(1, 0, 2, 3))
+            i, j = 2 * p - u, 2 * p - v
+            yp[:, :, i : i + h, j : j + w] += taps[:, :, u, v]
+    return yp[:, :, p : p + h, p : p + w] + layer.bias[:, None, None]
 
 
 def lrelu(x: np.ndarray, slope: float) -> np.ndarray:
     return np.where(x >= 0, x, x * np.asarray(slope, dtype=x.dtype))
 
 
-def _lrelu_grad(x: np.ndarray, slope: float) -> np.ndarray:
-    # subgradient at exactly 0 is 1 (positive branch)
-    return np.where(x >= 0, np.asarray(1, dtype=x.dtype), np.asarray(slope, dtype=x.dtype))
+def _lrelu_factor(z: np.ndarray, slope: float) -> np.ndarray:
+    """1 where z >= 0, else slope: lrelu(z) == z * factor exactly, and the
+    factor is also the derivative (taken as 1 at z == 0). Blended from a 0/1
+    mask, which is exact for any finite slope and, unlike np.where, does not
+    branch per element, so mixed signs do not slow it down."""
+    m = (z >= 0).astype(z.dtype)
+    return m + (1 - m) * z.dtype.type(slope)
 
 
 def forward(model: SrcnnModel, lr_batch: np.ndarray) -> np.ndarray:
@@ -186,57 +189,52 @@ def _transpose_layer(layer: ConvLayer) -> ConvLayer:
 def _conv_param_grads(
     x: np.ndarray, grad_out: np.ndarray, layer: ConvLayer
 ) -> tuple[np.ndarray, np.ndarray]:
+    """Kernel and bias gradients of conv2d(x, layer) given dL/dy.
+
+    Same rule as conv2d: the k*k expansion goes on the side with fewer
+    channels, so dW is one batched GEMM summed over the batch.
+    """
     n, c, h, w = x.shape
-    k = layer.k
-    g = grad_out.reshape(n, layer.out_channels, h * w)
+    k, out = layer.k, layer.out_channels
+    g = grad_out.reshape(n, out, h * w)
     db = g.sum(axis=(0, 2))
-    if k == 1 or c == 1:
+    if k == 1 or c <= out:
         cols = x.reshape(n, c, h * w) if k == 1 else _im2col(x, k)
-        dw = np.tensordot(g, cols, axes=([0, 2], [0, 2])).reshape(layer.kernel.shape)
-        return dw, db
-    p = (k - 1) // 2
-    xp = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p)))
-    dw = np.empty(layer.kernel.shape, dtype=x.dtype)
-    go = grad_out
-    for u in range(k):
-        for v in range(k):
-            sl = xp[:, :, u : u + h, v : v + w]
-            dw[:, :, u, v] = np.tensordot(go, sl, axes=([0, 2, 3], [0, 2, 3]))
-    return dw, db
-
-
-def backward(
-    model: SrcnnModel, lr_batch: np.ndarray, target: np.ndarray
-) -> list[np.ndarray]:
-    """Analytic gradients of mse_loss(forward(model, lr_batch), target) with
-    respect to every parameter, in the order of model.parameters()."""
-    return loss_and_grads(model, lr_batch, target)[1]
+        dw = np.matmul(g, cols.transpose(0, 2, 1)).sum(axis=0)
+        return dw.reshape(layer.kernel.shape), db
+    # dW[o, c, u, v] pairs x[i, j] with g[i - u + p, j - v + p], which is
+    # tap (k-1-u, k-1-v) of the im2col of g
+    gcols = _im2col(grad_out, k)
+    dw = np.matmul(gcols, x.reshape(n, c, h * w).transpose(0, 2, 1)).sum(axis=0)
+    dw = dw.reshape(out, k, k, c)[:, ::-1, ::-1].transpose(0, 3, 1, 2)
+    return np.ascontiguousarray(dw), db
 
 
 def loss_and_grads(
     model: SrcnnModel, lr_batch: np.ndarray, target: np.ndarray
 ) -> tuple[float, list[np.ndarray]]:
-    """Single fused forward/backward pass; returns (mse, gradients)."""
-    slope = model.lrelu_slope
+    """Single fused forward/backward pass; returns (mse, gradients) with the
+    gradients of mse_loss(forward(model, lr_batch), target) in the order of
+    model.parameters()."""
     z1 = conv2d(lr_batch, model.layer1)
-    a1 = lrelu(z1, slope)
+    f1 = _lrelu_factor(z1, model.lrelu_slope)
+    a1 = z1 * f1
     z2 = conv2d(a1, model.layer2)
-    a2 = lrelu(z2, slope)
+    f2 = _lrelu_factor(z2, model.lrelu_slope)
+    a2 = z2 * f2
     pred = conv2d(a2, model.layer3)
     if pred.shape != target.shape:
-        raise ValueError("backward requires matching shapes")
+        raise ValueError("loss_and_grads requires matching shapes")
 
     dtype = lr_batch.dtype
     g3 = (2.0 / pred.size) * (pred - target)
     g3 = g3.astype(dtype, copy=False)
     dw3, db3 = _conv_param_grads(a2, g3, model.layer3)
 
-    g_a2 = conv2d(g3, _transpose_layer(model.layer3))
-    g_z2 = g_a2 * _lrelu_grad(z2, slope)
+    g_z2 = conv2d(g3, _transpose_layer(model.layer3)) * f2
     dw2, db2 = _conv_param_grads(a1, g_z2, model.layer2)
 
-    g_a1 = conv2d(g_z2, _transpose_layer(model.layer2))
-    g_z1 = g_a1 * _lrelu_grad(z1, slope)
+    g_z1 = conv2d(g_z2, _transpose_layer(model.layer2)) * f1
     dw1, db1 = _conv_param_grads(lr_batch, g_z1, model.layer1)
 
     return mse_loss(pred, target), [dw1, db1, dw2, db2, dw3, db3]

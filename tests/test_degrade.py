@@ -109,7 +109,7 @@ class TestDegrade:
         rng = np.random.default_rng(37)
         img = Image(rng.uniform(0, 1, (17, 23)))
         cfg = cfg_px(2, 5, d_px=2)
-        pair = degrade(img, cfg, np.random.default_rng(cfg.seed))
+        pair = degrade(img, cfg, np.random.default_rng(0))
         np.testing.assert_array_equal(pair.lr.data, replay_lr(img, cfg, pair.samples))
 
     def test_offsets_bounded(self):

@@ -1,5 +1,6 @@
 import json
 import math
+import stat
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ import pytest
 from endosim.degrade import DegradationConfig, degrade
 from endosim.harness import (
     SweepConfig,
+    _atomic_write,
     compare_report,
     line_profile,
     profile_csv,
@@ -182,3 +184,24 @@ class TestSweepConfigJson:
         doc = dict(self.DOC, phantom_specs=[{"width": 64, "colour": "red"}])
         with pytest.raises(ValueError, match="colour"):
             sweep_config_from_json(doc)
+
+
+class TestAtomicWrite:
+    def test_stale_tmp_directory_does_not_block(self, tmp_path):
+        # a fixed "<path>.tmp" temp name would collide with this directory
+        (tmp_path / "out.csv.tmp").mkdir()
+        _atomic_write(tmp_path / "out.csv", b"payload")
+        assert (tmp_path / "out.csv").read_bytes() == b"payload"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["out.csv", "out.csv.tmp"]
+
+    def test_failed_rename_removes_temp_file(self, tmp_path):
+        (tmp_path / "out").mkdir()  # a file cannot replace a directory
+        with pytest.raises(OSError):
+            _atomic_write(tmp_path / "out", b"payload")
+        assert [p.name for p in tmp_path.iterdir()] == ["out"]
+
+    def test_mode_matches_a_plain_write(self, tmp_path):
+        (tmp_path / "plain").write_bytes(b"")
+        _atomic_write(str(tmp_path / "atomic"), b"payload")
+        modes = {stat.S_IMODE((tmp_path / n).stat().st_mode) for n in ("plain", "atomic")}
+        assert len(modes) == 1

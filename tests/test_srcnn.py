@@ -9,12 +9,12 @@ from endosim.srcnn import (
     SrcnnModel,
     TrainConfig,
     adam_step,
-    backward,
     conv2d,
     forward,
     infer,
     init_model,
     load_weights,
+    loss_and_grads,
     lrelu,
     mse_loss,
     save_weights,
@@ -94,6 +94,42 @@ class TestConv2d:
             ConvLayer(kernel=np.ones((1, 1, 2, 2)), bias=np.zeros(1))
 
 
+def brute_force_param_grads(x, grad_out, k):
+    n, c, h, w = x.shape
+    o = grad_out.shape[1]
+    p = (k - 1) // 2
+    dw = np.zeros((o, c, k, k))
+    for oi in range(o):
+        for ci in range(c):
+            for u in range(k):
+                for v in range(k):
+                    acc = 0.0
+                    for ni in range(n):
+                        for i in range(h):
+                            for j in range(w):
+                                ii, jj = i + u - p, j + v - p
+                                if 0 <= ii < h and 0 <= jj < w:
+                                    acc += grad_out[ni, oi, i, j] * x[ni, ci, ii, jj]
+                    dw[oi, ci, u, v] = acc
+    return dw, grad_out.sum(axis=(0, 2, 3))
+
+
+class TestConvParamGrads:
+    # (out, in, k): im2col of x for in < out, im2col of grad_out for in > out,
+    # plain GEMM for k == 1
+    @pytest.mark.parametrize("out_c,in_c,k", [(3, 2, 3), (2, 4, 5), (1, 3, 5), (2, 3, 1)])
+    def test_matches_brute_force(self, out_c, in_c, k):
+        rng = np.random.default_rng(12)
+        x = rng.normal(size=(2, in_c, 6, 7))
+        g = rng.normal(size=(2, out_c, 6, 7))
+        layer = random_layer(rng, out_c, in_c, k)
+        dw, db = srcnn._conv_param_grads(x, g, layer)
+        ref_dw, ref_db = brute_force_param_grads(x, g, k)
+        assert dw.shape == layer.kernel.shape
+        assert np.abs(dw - ref_dw).max() <= 1e-12
+        assert np.abs(db - ref_db).max() <= 1e-12
+
+
 class TestLrelu:
     def test_values(self):
         x = np.array([0.0, -1.0, 2.0])
@@ -151,7 +187,7 @@ class TestBackward:
         m = micro_model(rng)
         x = rng.normal(0.5, 0.2, (1, 1, 8, 8))
         target = forward(m, x)
-        for g in backward(m, x, target):
+        for g in loss_and_grads(m, x, target)[1]:
             np.testing.assert_array_equal(g, 0.0)
 
     def test_finite_difference_oracle(self):
@@ -159,7 +195,7 @@ class TestBackward:
         m = micro_model(rng)
         x = rng.uniform(0.2, 0.8, (1, 1, 8, 8))
         target = rng.uniform(0.2, 0.8, (1, 1, 8, 8))
-        grads = backward(m, x, target)
+        grads = loss_and_grads(m, x, target)[1]
         params = m.parameters()
         h = 1e-4
         for pi, (p, g) in enumerate(zip(params, grads)):
@@ -183,7 +219,7 @@ class TestBackward:
         x = rng.uniform(0.2, 0.8, (1, 1, 8, 8))
         r = 0.125
         target = forward(m, x) - r
-        grads = backward(m, x, target)
+        grads = loss_and_grads(m, x, target)[1]
         # d/db3 mean((pred - target)^2) with constant residual r is 2r
         assert abs(grads[-1][0] - 2 * r) <= 1e-10
 
