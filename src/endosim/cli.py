@@ -184,11 +184,11 @@ def _cmd_degrade(args: argparse.Namespace) -> int:
         _atomic_write(args.emit_sparse, save_pgm(pair.sparse))
     if args.emit_samples:
         lines = ["tile_row,tile_col,roi_row,roi_col,dx,dy,mean"]
-        for s in pair.samples:
-            lines.append(
-                f"{s.tile_origin[0]},{s.tile_origin[1]},{s.roi_origin[0]},"
-                f"{s.roi_origin[1]},{s.offset[1]},{s.offset[0]},{s.mean_value:.9g}"
-            )
+        for (ty, tx), (ry, rx), (dy, dx), mean in zip(
+            pair.tile_origins.tolist(), pair.roi_origins.tolist(),
+            pair.offsets.tolist(), pair.means.tolist(),
+        ):
+            lines.append(f"{ty},{tx},{ry},{rx},{dx},{dy},{mean:.9g}")
         _atomic_write(args.emit_samples, ("\n".join(lines) + "\n").encode())
     return EXIT_OK
 

@@ -11,6 +11,7 @@ are derived through the configured pixel size (2 um by default).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -68,11 +69,37 @@ class FiberSample:
     offset: tuple[int, int]  # (d_y, d_x) as drawn, before clamping
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DegradedPair:
+    """Degraded frames plus the per-fiber log as arrays, one row per fiber
+    in row-major tile order; each (n, 2) array holds (row, col) pairs."""
+
     sparse: Image
     lr: Image
-    samples: list[FiberSample]
+    roi_size: int
+    tile_origins: np.ndarray  # (n, 2)
+    roi_origins: np.ndarray  # (n, 2), after offset and clamping
+    offsets: np.ndarray  # (n, 2) of (d_y, d_x), as drawn, before clamping
+    means: np.ndarray  # (n,)
+
+    @functools.cached_property
+    def samples(self) -> list[FiberSample]:
+        """The same log as one FiberSample per fiber, built on first access."""
+        return [
+            FiberSample(
+                tile_origin=tuple(t),
+                roi_origin=tuple(r),
+                roi_size=self.roi_size,
+                mean_value=mean,
+                offset=tuple(o),
+            )
+            for t, r, o, mean in zip(
+                self.tile_origins.tolist(),
+                self.roi_origins.tolist(),
+                self.offsets.tolist(),
+                self.means.tolist(),
+            )
+        ]
 
 
 def grid_geometry(
@@ -80,12 +107,16 @@ def grid_geometry(
 ) -> list[tuple[int, int]]:
     """Row-major tile origins of the non-overlapping s_px grid covering the
     top-left region; partial border strips carry no fiber."""
+    return [tuple(t) for t in _tile_origins(cfg, width, height).tolist()]
+
+
+def _tile_origins(cfg: DegradationConfig, width: int, height: int) -> np.ndarray:
+    """grid_geometry as an (n, 2) array of (row, col) origins."""
     s = cfg.s_px
     if width < s or height < s:
         raise ValueError(f"image {width}x{height} smaller than one {s}x{s} tile")
-    return [
-        (ty * s, tx * s) for ty in range(height // s) for tx in range(width // s)
-    ]
+    rows, cols = np.indices((height // s, width // s))
+    return np.stack([rows.ravel(), cols.ravel()], axis=1) * s
 
 
 def _nominal_margin(cfg: DegradationConfig) -> int:
@@ -103,35 +134,38 @@ def degrade(
     image bounds but may leave their own FOV tile.
     """
     m, s, d = cfg.m_px, cfg.s_px, cfg.d_px
-    tiles = grid_geometry(cfg, image.width, image.height)
-    margin = _nominal_margin(cfg)
+    h, w = image.height, image.width
+    tiles = _tile_origins(cfg, w, h)
+    if d > 0:
+        # one call yields the same sequence as per-fiber scalar draws
+        offsets = rng.integers(-d, d + 1, size=tiles.shape)
+    else:
+        offsets = np.zeros_like(tiles)
+    rois = np.clip(tiles + _nominal_margin(cfg) + offsets, 0, [h - m, w - m])
     src = image.data
+    span = np.arange(m)
+    iy = rois[:, 0, None, None] + span[:, None]  # (n, m, 1)
+    ix = rois[:, 1, None, None] + span  # (n, 1, m)
+    pixels = src[iy, ix]  # (n, m, m)
+    means = pixels.mean(axis=(1, 2))
 
     lr = src.copy()  # uncovered border strips keep the source pixels
+    ny, nx = h // s, w // s
+    lr[: ny * s, : nx * s] = np.repeat(
+        np.repeat(means.reshape(ny, nx), s, axis=0), s, axis=1
+    )
     sparse = np.zeros_like(src)
-    samples: list[FiberSample] = []
-    for ty, tx in tiles:
-        if d > 0:
-            dy = int(rng.integers(-d, d + 1))
-            dx = int(rng.integers(-d, d + 1))
-        else:
-            dy = dx = 0
-        ry = min(max(ty + margin + dy, 0), image.height - m)
-        rx = min(max(tx + margin + dx, 0), image.width - m)
-        roi = src[ry : ry + m, rx : rx + m]
-        mean = float(roi.mean())
-        lr[ty : ty + s, tx : tx + s] = mean
-        sparse[ry : ry + m, rx : rx + m] = roi
-        samples.append(
-            FiberSample(
-                tile_origin=(ty, tx),
-                roi_origin=(ry, rx),
-                roi_size=m,
-                mean_value=mean,
-                offset=(dy, dx),
-            )
-        )
-    return DegradedPair(sparse=Image(sparse), lr=Image(lr), samples=samples)
+    # overlapping ROIs copy the same source pixels, so write order is moot
+    sparse[iy, ix] = pixels
+    return DegradedPair(
+        sparse=Image(sparse),
+        lr=Image(lr),
+        roi_size=m,
+        tile_origins=tiles,
+        roi_origins=rois,
+        offsets=offsets,
+        means=means,
+    )
 
 
 def identity_check(image: Image) -> Image:

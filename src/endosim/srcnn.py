@@ -72,6 +72,11 @@ class SrcnnModel:
     layer3: ConvLayer  # reconstruction, 32 -> 1, 5x5
     lrelu_slope: float = 0.01
 
+    def __post_init__(self) -> None:
+        # lrelu's max(x, slope * x) form holds only for slopes in [0, 1]
+        if not 0.0 <= self.lrelu_slope <= 1.0:
+            raise ValueError(f"lrelu slope {self.lrelu_slope} outside [0, 1]")
+
     @property
     def layers(self) -> tuple[ConvLayer, ConvLayer, ConvLayer]:
         return (self.layer1, self.layer2, self.layer3)
@@ -151,7 +156,11 @@ def conv2d(x: np.ndarray, layer: ConvLayer) -> np.ndarray:
 
 
 def lrelu(x: np.ndarray, slope: float) -> np.ndarray:
-    return np.where(x >= 0, x, x * np.asarray(slope, dtype=x.dtype))
+    """max(x, slope * x): two branch-free passes. For 0 <= slope <= 1 this
+    equals np.where(x >= 0, x, slope * x) bit for bit, signed zeros and NaN
+    included, except at +inf with slope 0, where inf * 0 makes it NaN."""
+    y = x * np.asarray(slope, dtype=x.dtype)
+    return np.maximum(x, y, out=y)
 
 
 def _lrelu_factor(z: np.ndarray, slope: float) -> np.ndarray:
@@ -392,11 +401,30 @@ def train(
     return model.with_parameters(best_params), history
 
 
+# pixels per inference band; frames up to this size run as a single band
+_BAND_PIXELS = 2**16
+
+
 def infer(model: SrcnnModel, lr: Image) -> Image:
-    """Full-frame forward pass, clamped to [0, 1] for export."""
-    x = lr.data.astype(model.layer1.kernel.dtype)[None, None]
-    pred = forward(model, x)[0, 0]
-    return Image(np.clip(pred.astype(np.float64), 0.0, 1.0))
+    """Forward pass clamped to [0, 1] for export, run in row bands.
+
+    Each band is extended by a halo of the network's receptive-field radius
+    on both sides (overlap-tile, Ronneberger et al. 2015), so its interior
+    rows equal those of the full-frame forward pass while activation memory
+    grows with the band, not the frame.
+    """
+    x = lr.data.astype(model.layer1.kernel.dtype)
+    h, w = x.shape
+    halo = sum((layer.k - 1) // 2 for layer in model.layers)
+    band = max(1, _BAND_PIXELS // w)
+    out = np.empty((h, w))
+    for top in range(0, h, band):
+        bottom = min(top + band, h)
+        lo, hi = max(top - halo, 0), min(bottom + halo, h)
+        pred = forward(model, x[None, None, lo:hi])[0, 0]
+        out[top:bottom] = pred[top - lo : bottom - lo]
+    np.clip(out, 0.0, 1.0, out=out)
+    return Image(out)
 
 
 def save_weights(model: SrcnnModel) -> bytes:
@@ -445,4 +473,13 @@ def load_weights(blob: bytes) -> SrcnnModel:
         )
     if pos != len(blob):
         raise ValueError("trailing bytes after weights payload")
+    l1, l2, l3 = layers
+    if (l1.in_channels, l2.in_channels, l3.in_channels, l3.out_channels) != (
+        1, l1.out_channels, l2.out_channels, 1
+    ):
+        in_out = [(layer.in_channels, layer.out_channels) for layer in layers]
+        raise ValueError(f"layer channels {in_out} do not chain 1 -> c1 -> c2 -> 1")
+    for layer in layers:
+        if not (np.isfinite(layer.kernel).all() and np.isfinite(layer.bias).all()):
+            raise ValueError("non-finite value in weights payload")
     return SrcnnModel(*layers, lrelu_slope=float(slope))

@@ -1,7 +1,11 @@
+import struct
+
 import numpy as np
 import pytest
 
+from endosim import srcnn
 from endosim.cli import dispatch
+from endosim.degrade import DegradationConfig, degrade
 from endosim.image import Image, load_pgm, save_pgm
 
 
@@ -50,6 +54,24 @@ class TestPhantomDegradePipeline:
         assert load_pgm(lr.read_bytes()).width == 64
         assert samples.read_text().startswith("tile_row,tile_col")
         assert sparse.exists()
+
+    def test_samples_csv_matches_sample_log(self, tmp_path):
+        hr = write_phantom(tmp_path)
+        lr, samples = tmp_path / "lr.pgm", tmp_path / "samples.csv"
+        assert dispatch([
+            "degrade", "--fiber-diameter", "4", "--inter-fiber-distance", "8",
+            "--max-offset", "4", "--seed", "5", "--emit-samples", str(samples),
+            str(hr), str(lr),
+        ]) == 0
+        cfg = DegradationConfig(fiber_diameter_um=4, inter_fiber_distance_um=8,
+                                max_offset_um=4)
+        pair = degrade(load_pgm(hr.read_bytes()), cfg, np.random.default_rng(5))
+        expected = [
+            f"{s.tile_origin[0]},{s.tile_origin[1]},{s.roi_origin[0]},"
+            f"{s.roi_origin[1]},{s.offset[1]},{s.offset[0]},{s.mean_value:.9g}"
+            for s in pair.samples
+        ]
+        assert samples.read_text().splitlines()[1:] == expected
 
     def test_deterministic_outputs(self, tmp_path):
         hr = write_phantom(tmp_path)
@@ -132,3 +154,13 @@ class TestTrainInferCommands:
         lr_input = data / "val" / "3_lr.pgm"
         assert dispatch(["infer", str(weights), str(lr_input), str(sr)]) == 0
         assert load_pgm(sr.read_bytes()).width == 48
+
+    def test_out_of_range_slope_is_data_error(self, tmp_path):
+        blob = bytearray(srcnn.save_weights(srcnn.init_model(0, channels=(2, 2))))
+        blob[8:12] = struct.pack("<f", 1.5)  # the stored LReLU slope
+        weights = tmp_path / "model.weights"
+        weights.write_bytes(bytes(blob))
+        lr = write_phantom(tmp_path, size=16)
+        assert dispatch(["infer", str(weights), str(lr),
+                         str(tmp_path / "sr.pgm")]) == 2
+        assert not (tmp_path / "sr.pgm").exists()

@@ -141,6 +141,31 @@ class TestLrelu:
         expected = np.where(x >= 0, x, 0.2 * x)
         np.testing.assert_array_equal(lrelu(x, 0.2), expected)
 
+    @pytest.mark.parametrize("slope", [0.0, 0.01, 0.5, 1.0])
+    @pytest.mark.parametrize("dtype, bits", [(np.float32, np.uint32),
+                                             (np.float64, np.uint64)])
+    def test_bitwise_equal_to_select(self, slope, dtype, bits):
+        fi = np.finfo(dtype)
+        special = [0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan,
+                   fi.smallest_subnormal, -fi.smallest_subnormal,
+                   -3 * fi.smallest_subnormal, fi.tiny, -fi.tiny, fi.max, -fi.max]
+        if slope == 0.0:
+            special.remove(np.inf)  # inf * 0 is NaN: the documented exception
+        rng = np.random.default_rng(4)
+        x = np.concatenate([np.array(special, dtype=dtype),
+                            rng.normal(size=200).astype(dtype)])
+        with np.errstate(invalid="ignore"):
+            expected = np.where(x >= 0, x, x * np.asarray(slope, dtype=dtype))
+            got = lrelu(x, slope)
+        assert got.dtype == dtype
+        np.testing.assert_array_equal(got.view(bits), expected.view(bits))
+
+    @pytest.mark.parametrize("slope", [-0.1, 1.5, float("nan")])
+    def test_slope_outside_unit_interval_rejected(self, slope):
+        m = init_model(0, channels=(2, 2))
+        with pytest.raises(ValueError):
+            SrcnnModel(*m.layers, lrelu_slope=slope)
+
 
 class TestForward:
     def test_zero_model_gives_zero(self):
@@ -327,6 +352,29 @@ class TestInfer:
         assert np.all(dy[outside] == 0.0)
         assert dy[12, 12] > 0.0
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("height, width, band_rows", [
+        (40, 24, 5),  # eight bands
+        (37, 24, 5),  # last band (2 rows) shorter than the halo (6 rows)
+        (4, 24, 2),  # frame shorter than the halo
+        (30, 20, None),  # one band at the default band size
+    ])
+    def test_banded_matches_full_frame_forward(
+        self, monkeypatch, dtype, height, width, band_rows
+    ):
+        if band_rows is not None:
+            monkeypatch.setattr(srcnn, "_BAND_PIXELS", band_rows * width)
+        rng = np.random.default_rng(23)
+        m = micro_model(rng, scale=0.1)
+        m = m.with_parameters([p.astype(dtype) for p in m.parameters()])
+        lr = Image(rng.uniform(0.2, 0.8, (height, width)))
+        x = lr.data.astype(dtype)[None, None]
+        expected = np.clip(forward(m, x)[0, 0], 0, 1)
+        assert 0.0 < expected.min() and expected.max() < 1.0  # nothing clipped
+        sr = infer(m, lr).data
+        tol = 1e-12 if dtype == np.float64 else 1e-6
+        assert np.abs(sr - expected).max() <= tol
+
     def test_tiled_inference_matches_full_frame(self):
         rng = np.random.default_rng(17)
         m = micro_model(rng, scale=0.1)
@@ -363,3 +411,29 @@ class TestWeightsIO:
         blob = save_weights(init_model(22, channels=(2, 2)))
         with pytest.raises(ValueError):
             load_weights(blob + b"\x00")
+
+    @pytest.mark.parametrize("chain", [
+        (2, 3, 3, 2, 2, 1),  # layer1 input is not the one image channel
+        (1, 3, 4, 2, 2, 1),  # layer2 input differs from layer1 output
+        (1, 3, 3, 2, 3, 1),  # layer3 input differs from layer2 output
+        (1, 3, 3, 2, 2, 2),  # layer3 output is not one channel
+    ])
+    def test_broken_layer_chain_rejected(self, chain):
+        rng = np.random.default_rng(24)
+        i1, o1, i2, o2, i3, o3 = chain
+        m = SrcnnModel(
+            random_layer(rng, o1, i1, 3),
+            random_layer(rng, o2, i2, 1),
+            random_layer(rng, o3, i3, 3),
+        )
+        with pytest.raises(ValueError, match="chain"):
+            load_weights(save_weights(m))
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("index", [0, 5])  # layer1 kernel, layer3 bias
+    def test_non_finite_value_rejected(self, value, index):
+        m = init_model(25, channels=(2, 2))
+        params = [p.copy() for p in m.parameters()]
+        params[index].flat[-1] = value
+        with pytest.raises(ValueError, match="non-finite"):
+            load_weights(save_weights(m.with_parameters(params)))
