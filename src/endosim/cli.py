@@ -40,16 +40,6 @@ def _read_image(path: str) -> Image:
     return load_pgm(Path(path).read_bytes())
 
 
-def _fmt(x: float) -> str:
-    if x != x:
-        return "nan"
-    if x == float("inf"):
-        return "inf"
-    if x == float("-inf"):
-        return "-inf"
-    return f"{x:.6f}"
-
-
 def build_parser() -> _Parser:
     parser = _Parser(prog="endosim", description=__doc__)
     sub = parser.add_subparsers(dest="command")
@@ -211,7 +201,7 @@ def _cmd_train(args: argparse.Namespace) -> int:
     if args.history:
         lines = ["epoch,train_mse,val_mse"]
         for epoch, train_mse, val_mse in history.rows:
-            lines.append(f"{epoch},{_fmt(train_mse)},{_fmt(val_mse)}")
+            lines.append(f"{epoch},{train_mse:.6f},{val_mse:.6f}")
         _atomic_write(args.history, ("\n".join(lines) + "\n").encode())
     return EXIT_OK
 
@@ -226,7 +216,7 @@ def _cmd_infer(args: argparse.Namespace) -> int:
 def _cmd_metrics(args: argparse.Namespace) -> int:
     ref = _read_image(args.reference)
     test = _read_image(args.test)
-    print(f"{_fmt(metrics.psnr(ref, test))},{_fmt(metrics.ssim(ref, test))}")
+    print(f"{metrics.psnr(ref, test):.6f},{metrics.ssim(ref, test):.6f}")
     return EXIT_OK
 
 

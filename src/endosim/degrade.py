@@ -102,16 +102,10 @@ class DegradedPair:
         ]
 
 
-def grid_geometry(
-    cfg: DegradationConfig, width: int, height: int
-) -> list[tuple[int, int]]:
-    """Row-major tile origins of the non-overlapping s_px grid covering the
-    top-left region; partial border strips carry no fiber."""
-    return [tuple(t) for t in _tile_origins(cfg, width, height).tolist()]
-
-
-def _tile_origins(cfg: DegradationConfig, width: int, height: int) -> np.ndarray:
-    """grid_geometry as an (n, 2) array of (row, col) origins."""
+def grid_geometry(cfg: DegradationConfig, width: int, height: int) -> np.ndarray:
+    """Row-major tile origins, an (n, 2) array of (row, col), of the
+    non-overlapping s_px grid covering the top-left region; partial border
+    strips carry no fiber."""
     s = cfg.s_px
     if width < s or height < s:
         raise ValueError(f"image {width}x{height} smaller than one {s}x{s} tile")
@@ -135,7 +129,7 @@ def degrade(
     """
     m, s, d = cfg.m_px, cfg.s_px, cfg.d_px
     h, w = image.height, image.width
-    tiles = _tile_origins(cfg, w, h)
+    tiles = grid_geometry(cfg, w, h)
     if d > 0:
         # one call yields the same sequence as per-fiber scalar draws
         offsets = rng.integers(-d, d + 1, size=tiles.shape)

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import csv
 import io
-import math
 import time
 import uuid
 from concurrent.futures import ThreadPoolExecutor
@@ -132,14 +131,6 @@ RESULTS_HEADER = [
 ]
 
 
-def _fmt(x: float) -> str:
-    if math.isnan(x):
-        return "nan"
-    if math.isinf(x):
-        return "inf" if x > 0 else "-inf"
-    return f"{x:.9g}"
-
-
 def _cell_seeds(base_seed: int, cell: SweepCell, count: int) -> list[int]:
     ss = np.random.SeedSequence(
         entropy=base_seed, spawn_key=(cell.axis_idx, cell.cell_idx)
@@ -197,6 +188,10 @@ def _run_cell(config: SweepConfig, cell: SweepCell) -> CellOutput:
             std = float(np.std(arr, ddof=1)) if len(arr) > 1 else 0.0
             return float(np.mean(arr)), std
 
+    mean_psnr_lr, std_psnr_lr = mean_std(psnr_lr)
+    mean_psnr_sr, std_psnr_sr = mean_std(psnr_sr)
+    mean_ssim_lr, std_ssim_lr = mean_std(ssim_lr)
+    mean_ssim_sr, std_ssim_sr = mean_std(ssim_sr)
     d = cell.degradation
     row = ResultRow(
         axis=cell.axis,
@@ -204,10 +199,10 @@ def _run_cell(config: SweepConfig, cell: SweepCell) -> CellOutput:
         s_um=d.inter_fiber_distance_um,
         d_um=d.max_offset_um,
         seed=data_seed,
-        mean_psnr_lr=mean_std(psnr_lr)[0], std_psnr_lr=mean_std(psnr_lr)[1],
-        mean_psnr_sr=mean_std(psnr_sr)[0], std_psnr_sr=mean_std(psnr_sr)[1],
-        mean_ssim_lr=mean_std(ssim_lr)[0], std_ssim_lr=mean_std(ssim_lr)[1],
-        mean_ssim_sr=mean_std(ssim_sr)[0], std_ssim_sr=mean_std(ssim_sr)[1],
+        mean_psnr_lr=mean_psnr_lr, std_psnr_lr=std_psnr_lr,
+        mean_psnr_sr=mean_psnr_sr, std_psnr_sr=std_psnr_sr,
+        mean_ssim_lr=mean_ssim_lr, std_ssim_lr=std_ssim_lr,
+        mean_ssim_sr=mean_ssim_sr, std_ssim_sr=std_ssim_sr,
         train_seconds=train_seconds,
     )
     assert sample is not None
@@ -222,8 +217,8 @@ def results_csv(rows: list[ResultRow]) -> str:
     w.writerow(RESULTS_HEADER)
     for r in rows:
         w.writerow(
-            [r.axis, _fmt(r.m_um), _fmt(r.s_um), _fmt(r.d_um), r.seed]
-            + [_fmt(getattr(r, name)) for name in RESULTS_HEADER[5:]]
+            [r.axis, f"{r.m_um:.9g}", f"{r.s_um:.9g}", f"{r.d_um:.9g}", r.seed]
+            + [f"{getattr(r, name):.9g}" for name in RESULTS_HEADER[5:]]
         )
     return buf.getvalue()
 
@@ -258,7 +253,7 @@ def run_sweep(
         w = csv.writer(buf, lineterminator="\n")
         w.writerow(["axis", "m_um", "s_um", "d_um", "train_seconds"])
         for r in rows:
-            w.writerow([r.axis, _fmt(r.m_um), _fmt(r.s_um), _fmt(r.d_um),
+            w.writerow([r.axis, f"{r.m_um:.9g}", f"{r.s_um:.9g}", f"{r.d_um:.9g}",
                         f"{r.train_seconds:.3f}"])
         _atomic_write(out / "timings.csv", buf.getvalue().encode())
         for cell, o in zip(cells, outputs):
@@ -364,7 +359,7 @@ def profile_csv(profile: np.ndarray, col_start: int = 0) -> str:
     w = csv.writer(buf, lineterminator="\n")
     w.writerow(["col", "intensity"])
     for i, v in enumerate(profile):
-        w.writerow([col_start + i, _fmt(float(v))])
+        w.writerow([col_start + i, f"{v:.9g}"])
     return buf.getvalue()
 
 
@@ -386,8 +381,8 @@ class CompareReport:
     def csv_line(self) -> str:
         header = "psnr_lr,ssim_lr,psnr_sr,ssim_sr,delta_psnr,delta_ssim"
         values = ",".join(
-            _fmt(v) for v in (self.psnr_lr, self.ssim_lr, self.psnr_sr,
-                              self.ssim_sr, self.delta_psnr, self.delta_ssim)
+            f"{v:.9g}" for v in (self.psnr_lr, self.ssim_lr, self.psnr_sr,
+                                 self.ssim_sr, self.delta_psnr, self.delta_ssim)
         )
         return f"{header}\n{values}\n"
 

@@ -25,14 +25,15 @@ class Image:
     data: np.ndarray = field(repr=False)
 
     def __post_init__(self) -> None:
-        arr = np.asarray(self.data, dtype=np.float64)
+        # a private C-ordered copy: the caller's array and its views stay live
+        arr = np.array(self.data, dtype=np.float64, order="C")
         if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] < 1:
             raise ImageError(f"expected a non-empty 2-D array, got shape {arr.shape}")
-        if not np.isfinite(arr).all():
-            raise ImageError("image contains non-finite values")
-        if arr.min() < 0.0 or arr.max() > 1.0:
+        # NaN fails both comparisons and +-inf fails one
+        if not (arr.min() >= 0.0 and arr.max() <= 1.0):
+            if not np.isfinite(arr).all():
+                raise ImageError("image contains non-finite values")
             raise ImageError("image values must lie in [0, 1]")
-        arr = arr.copy()
         arr.flags.writeable = False
         object.__setattr__(self, "data", arr)
 

@@ -281,11 +281,7 @@ def study_report(records: list[ReadRecord]) -> dict:
 
 
 def _fmt(x: float) -> str:
-    if isinstance(x, float) and math.isnan(x):
-        return "NOT_DEFINED"
-    if isinstance(x, float) and math.isinf(x):
-        return "inf" if x > 0 else "-inf"
-    return f"{x:.6f}" if isinstance(x, float) else str(x)
+    return "NOT_DEFINED" if math.isnan(x) else f"{x:.6f}"
 
 
 def report_csv_tables(report: dict) -> dict[str, str]:

@@ -322,11 +322,11 @@ class TrainHistory:
 
 
 def _validation_mse(model: SrcnnModel, val_pairs: list[tuple[Image, Image]]) -> float:
+    dtype = model.layer1.kernel.dtype
     total = 0.0
     for lr_img, hr_img in val_pairs:
-        x = lr_img.data.astype(np.float32)[None, None]
-        pred = forward(model, x)
-        total += mse_loss(pred, hr_img.data.astype(np.float32)[None, None])
+        pred = _forward_frame(model, lr_img.data.astype(dtype))
+        total += mse_loss(pred, hr_img.data.astype(dtype))
     return total / len(val_pairs)
 
 
@@ -401,19 +401,19 @@ def train(
     return model.with_parameters(best_params), history
 
 
-# pixels per inference band; frames up to this size run as a single band
+# pixels per forward band; frames up to this size run as a single band
 _BAND_PIXELS = 2**16
 
 
-def infer(model: SrcnnModel, lr: Image) -> Image:
-    """Forward pass clamped to [0, 1] for export, run in row bands.
+def _forward_frame(model: SrcnnModel, x: np.ndarray) -> np.ndarray:
+    """Unclipped forward pass over one (h, w) frame, run in row bands, as
+    an (h, w) float64 array.
 
     Each band is extended by a halo of the network's receptive-field radius
     on both sides (overlap-tile, Ronneberger et al. 2015), so its interior
     rows equal those of the full-frame forward pass while activation memory
     grows with the band, not the frame.
     """
-    x = lr.data.astype(model.layer1.kernel.dtype)
     h, w = x.shape
     halo = sum((layer.k - 1) // 2 for layer in model.layers)
     band = max(1, _BAND_PIXELS // w)
@@ -423,6 +423,12 @@ def infer(model: SrcnnModel, lr: Image) -> Image:
         lo, hi = max(top - halo, 0), min(bottom + halo, h)
         pred = forward(model, x[None, None, lo:hi])[0, 0]
         out[top:bottom] = pred[top - lo : bottom - lo]
+    return out
+
+
+def infer(model: SrcnnModel, lr: Image) -> Image:
+    """Forward pass clamped to [0, 1] for export, run in row bands."""
+    out = _forward_frame(model, lr.data.astype(model.layer1.kernel.dtype))
     np.clip(out, 0.0, 1.0, out=out)
     return Image(out)
 

@@ -155,6 +155,31 @@ class TestTrainInferCommands:
         assert dispatch(["infer", str(weights), str(lr_input), str(sr)]) == 0
         assert load_pgm(sr.read_bytes()).width == 48
 
+    def test_history_csv_bytes(self, tmp_path, monkeypatch):
+        # training is stubbed so the bytes pin the CSV rendering, not BLAS
+        history = srcnn.TrainHistory(
+            [(0, float("nan"), 0.25), (1, 1 / 3, float("inf")),
+             (2, np.float64(2e-7), float("-inf")), (3, -0.0, float("nan"))]
+        )
+        monkeypatch.setattr(
+            srcnn, "train",
+            lambda pairs, val, cfg: (srcnn.init_model(0, channels=(2, 2)), history),
+        )
+        for split in ("train", "val"):
+            (tmp_path / "data" / split).mkdir(parents=True)
+            hr = write_phantom(tmp_path / "data" / split, name="a_hr.pgm", size=16)
+            (hr.parent / "a_lr.pgm").write_bytes(hr.read_bytes())
+        out = tmp_path / "history.csv"
+        assert dispatch(["train", "--history", str(out), str(tmp_path / "data"),
+                         str(tmp_path / "model.weights")]) == 0
+        assert out.read_bytes() == (
+            b"epoch,train_mse,val_mse\n"
+            b"0,nan,0.250000\n"
+            b"1,0.333333,inf\n"
+            b"2,0.000000,-inf\n"
+            b"3,-0.000000,nan\n"
+        )
+
     def test_out_of_range_slope_is_data_error(self, tmp_path):
         blob = bytearray(srcnn.save_weights(srcnn.init_model(0, channels=(2, 2))))
         blob[8:12] = struct.pack("<f", 1.5)  # the stored LReLU slope

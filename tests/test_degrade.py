@@ -55,7 +55,7 @@ class TestGridGeometry:
         cfg = cfg_px(m_px=2, s_px=4)
         tiles = grid_geometry(cfg, 8, 8)
         assert len(tiles) == 4
-        assert tiles[0] == (0, 0)
+        assert tuple(tiles[0]) == (0, 0)
         margin = (cfg.s_px - cfg.m_px) // 2
         assert margin == 1  # nominal ROI origin of tile (0,0) is (1,1)
 

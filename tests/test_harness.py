@@ -5,6 +5,8 @@ import stat
 import numpy as np
 import pytest
 
+from endosim import harness
+from endosim.cli import dispatch
 from endosim.degrade import DegradationConfig, degrade
 from endosim.harness import (
     SweepConfig,
@@ -18,7 +20,7 @@ from endosim.harness import (
 from endosim.image import Image
 from endosim.metrics import psnr, ssim
 from endosim.phantom import PhantomSpec
-from endosim.srcnn import TrainConfig
+from endosim.srcnn import TrainConfig, init_model
 
 TINY_SPEC = PhantomSpec(width=64, height=64, nucleus_radius_px=(2.0, 4.0))
 TINY_TRAIN = TrainConfig(epochs=2, patch_size=32, patches_per_image=2,
@@ -91,8 +93,10 @@ class TestLineProfile:
         assert all(r % cfg.s_px == 0 for r in runs)
 
     def test_csv_format(self):
-        text = profile_csv(np.array([0.5, 0.25]), col_start=3)
-        assert text.splitlines() == ["col,intensity", "3,0.5", "4,0.25"]
+        text = profile_csv(np.array([0.5, 0.25, 1 / 3, 0.0, 1.0, 2e-10]), col_start=3)
+        assert text == (
+            "col,intensity\n3,0.5\n4,0.25\n5,0.333333333\n6,0\n7,1\n8,2e-10\n"
+        )
 
 
 class TestCompareReport:
@@ -151,6 +155,34 @@ class TestRunSweep:
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError):
             run_sweep(tiny_config())
+
+    def test_results_csv_bytes_with_integer_axes(self, tmp_path, monkeypatch):
+        # m = s = one pixel and d = 0 make LR equal HR; training is stubbed
+        # and SR is the LR frame, so no BLAS result reaches the bytes
+        monkeypatch.setattr(harness, "train", lambda pairs, val, cfg: (
+            init_model(cfg.seed, channels=(2, 2)), None))
+        monkeypatch.setattr(harness, "infer", lambda model, lr: lr)
+        doc = {
+            "phantom_specs": [{"width": 32, "height": 32}],
+            "train_count": 1, "val_count": 1, "test_count": 2,
+            "offset_um": [0], "inter_fiber_distance_um": [2],
+            "baseline_fiber_diameter_um": 2, "baseline_inter_fiber_distance_um": 2,
+            "baseline_offset_um": 0, "pixel_size_um": 2, "base_seed": 3,
+        }
+        config = tmp_path / "sweep.json"
+        config.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        assert dispatch(["sweep", "--config", str(config), "--out", str(out)]) == 0
+        assert (out / "results.csv").read_bytes() == (
+            b"axis,m_um,s_um,d_um,seed,mean_psnr_lr,std_psnr_lr,mean_psnr_sr,"
+            b"std_psnr_sr,mean_ssim_lr,std_ssim_lr,mean_ssim_sr,std_ssim_sr\n"
+            b"offset,2,2,0,3971923128,inf,nan,inf,nan,1,0,1,0\n"
+            b"inter_fiber_distance,2,2,0,2340540091,inf,nan,inf,nan,1,0,1,0\n"
+        )
+        timings = (out / "timings.csv").read_text().splitlines()
+        assert [line.rsplit(",", 1)[0] for line in timings] == [
+            "axis,m_um,s_um,d_um", "offset,2,2,0", "inter_fiber_distance,2,2,0",
+        ]
 
 
 class TestSweepConfigJson:

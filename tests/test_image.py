@@ -11,6 +11,37 @@ def make_pgm(width, height, maxval, samples, comment=False):
     return header.encode() + np.asarray(samples, dtype=dtype).tobytes()
 
 
+class TestImage:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rejected(self, bad):
+        data = np.full((2, 3), 0.5)
+        data[1, 2] = bad
+        with pytest.raises(ImageError, match="non-finite"):
+            Image(data)
+
+    @pytest.mark.parametrize("bad", [-0.1, 1.1])
+    def test_out_of_range_rejected(self, bad):
+        data = np.full((2, 3), 0.5)
+        data[0, 1] = bad
+        with pytest.raises(ImageError, match=r"\[0, 1\]"):
+            Image(data)
+
+    def test_caller_writes_do_not_reach_the_image(self):
+        data = np.full((3, 3), 0.25)
+        view = data[1:]
+        img = Image(data)
+        data[0, 0] = 0.75
+        view[0, 0] = 0.75
+        np.testing.assert_array_equal(img.data, 0.25)
+        assert not img.data.flags.writeable
+
+    def test_fortran_order_input_gives_c_layout(self):
+        data = np.asfortranarray(np.random.default_rng(8).uniform(0, 1, (4, 5)))
+        img = Image(data)
+        assert img.data.flags.c_contiguous
+        np.testing.assert_array_equal(img.data, data)
+
+
 class TestLoadPgm:
     def test_8bit_scaling(self):
         img = load_pgm(make_pgm(2, 2, 255, [0, 255, 128, 64]))

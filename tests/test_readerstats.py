@@ -259,6 +259,57 @@ class TestStudyReport:
         with pytest.raises(ValueError):
             study_report(records)
 
+    def test_csv_table_bytes(self):
+        # two readers with identical HR reads and SR reads that differ in one
+        # image: the low stratum holds only a positive image (specificity
+        # NOT_DEFINED) and SR specificity has zero variance (t = inf)
+        truth = {"img0": "neoplastic", "img1": "neoplastic",
+                 "img2": "non_neoplastic", "img3": "non_neoplastic"}
+        flip = {"neoplastic": "non_neoplastic", "non_neoplastic": "neoplastic"}
+        records = []
+        for reader in ("r1", "r2"):
+            for image, t in truth.items():
+                for modality in ("HR", "SR"):
+                    wrong = modality == "SR" and (
+                        image == "img3" or (image == "img1" and reader == "r1"))
+                    records.append(rec(
+                        image, reader=reader, modality=modality,
+                        call=flip[t] if wrong else t,
+                        confidence="low" if image == "img0" else "high", truth=t,
+                    ))
+        tables = report_csv_tables(study_report(records))
+        assert tables["per_reader.csv"] == (
+            "reader_id,modality,stratum,tp,fp,fn,tn,sensitivity,specificity,accuracy\n"
+            "r1,HR,all,2,0,0,2,1.000000,1.000000,1.000000\n"
+            "r1,HR,high,1,0,0,2,1.000000,1.000000,1.000000\n"
+            "r1,HR,low,1,0,0,0,1.000000,NOT_DEFINED,1.000000\n"
+            "r1,SR,all,1,1,1,1,0.500000,0.500000,0.500000\n"
+            "r1,SR,high,0,1,1,1,0.000000,0.500000,0.333333\n"
+            "r1,SR,low,1,0,0,0,1.000000,NOT_DEFINED,1.000000\n"
+            "r2,HR,all,2,0,0,2,1.000000,1.000000,1.000000\n"
+            "r2,HR,high,1,0,0,2,1.000000,1.000000,1.000000\n"
+            "r2,HR,low,1,0,0,0,1.000000,NOT_DEFINED,1.000000\n"
+            "r2,SR,all,2,1,0,1,1.000000,0.500000,0.750000\n"
+            "r2,SR,high,1,1,0,1,1.000000,0.500000,0.666667\n"
+            "r2,SR,low,1,0,0,0,1.000000,NOT_DEFINED,1.000000\n"
+        )
+        assert tables["confidence_rates.csv"] == (
+            "reader_id,modality,high_confidence_rate\n"
+            "r1,HR,0.750000\nr1,SR,0.750000\nr2,HR,0.750000\nr2,SR,0.750000\n"
+        )
+        assert tables["t_tests.csv"] == (
+            "stratum,metric,t,p,df,degenerate_variance\n"
+            "all,accuracy,3.000000,0.095466,2,0\n"
+            "all,high_confidence_rate,0.000000,1.000000,2,1\n"
+            "all,sensitivity,1.000000,0.422650,2,0\n"
+            "all,specificity,inf,0.000000,2,1\n"
+            "high,accuracy,3.000000,0.095466,2,0\n"
+            "high,sensitivity,1.000000,0.422650,2,0\n"
+            "high,specificity,inf,0.000000,2,1\n"
+            "low,accuracy,0.000000,1.000000,2,1\n"
+            "low,sensitivity,0.000000,1.000000,2,1\n"
+        )
+
     def test_csv_tables_emitted(self):
         records = synthetic_study(np.random.default_rng(5))
         tables = report_csv_tables(study_report(records))

@@ -374,6 +374,10 @@ class TestInfer:
         sr = infer(m, lr).data
         tol = 1e-12 if dtype == np.float64 else 1e-6
         assert np.abs(sr - expected).max() <= tol
+        # validation runs the same band loop, on the unclipped output
+        hr = Image(rng.uniform(0, 1, (height, width)))
+        expected_val = mse_loss(forward(m, x), hr.data.astype(dtype)[None, None])
+        assert abs(srcnn._validation_mse(m, [(lr, hr)]) - expected_val) <= tol
 
     def test_tiled_inference_matches_full_frame(self):
         rng = np.random.default_rng(17)
