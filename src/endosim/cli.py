@@ -55,20 +55,25 @@ def build_parser() -> _Parser:
     p.add_argument("output")
 
     p = sub.add_parser("preprocess", help="Gaussian smoothing + CLAHE")
-    p.add_argument("--sigma", type=float, default=2.0)
-    p.add_argument("--clip-limit", type=float, default=0.005)
-    p.add_argument("--tiles", type=int, nargs=2, default=(8, 8),
+    pre = preprocess.PreprocessConfig
+    p.add_argument("--sigma", type=float, default=pre.gaussian_sigma_px)
+    p.add_argument("--clip-limit", type=float, default=pre.clahe_clip_limit)
+    p.add_argument("--tiles", type=int, nargs=2, default=pre.clahe_tiles,
                    metavar=("ROWS", "COLS"))
-    p.add_argument("--bins", type=int, default=256)
+    p.add_argument("--bins", type=int, default=pre.clahe_bins)
     p.add_argument("input")
     p.add_argument("output")
 
     p = sub.add_parser("degrade", help="simulate the fiber-probe LR image")
-    p.add_argument("--pixel-size", type=float, default=2.0, help="um per pixel")
-    p.add_argument("--fiber-diameter", type=float, default=6.0, help="m, um")
-    p.add_argument("--inter-fiber-distance", type=float, default=12.0,
-                   help="s, um")
-    p.add_argument("--max-offset", type=float, default=0.0, help="d, um")
+    deg = degrade_mod.DegradationConfig
+    p.add_argument("--pixel-size", type=float, default=deg.pixel_size_um,
+                   help="um per pixel")
+    p.add_argument("--fiber-diameter", type=float, default=deg.fiber_diameter_um,
+                   help="m, um")
+    p.add_argument("--inter-fiber-distance", type=float,
+                   default=deg.inter_fiber_distance_um, help="s, um")
+    p.add_argument("--max-offset", type=float, default=deg.max_offset_um,
+                   help="d, um")
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.add_argument("--emit-sparse", metavar="PATH",
                    help="also write the sparse acquisition image")
@@ -78,12 +83,14 @@ def build_parser() -> _Parser:
     p.add_argument("output")
 
     p = sub.add_parser("train", help="train the SRCNN on paired PGM images")
-    p.add_argument("--epochs", type=int, default=300)
-    p.add_argument("--batch-size", type=int, default=8)
-    p.add_argument("--patch-size", type=int, default=512)
-    p.add_argument("--patches-per-image", type=int, default=10)
-    p.add_argument("--learning-rate", type=float, default=1e-4)
-    p.add_argument("--validation-interval", type=int, default=1)
+    tc = srcnn.TrainConfig
+    p.add_argument("--epochs", type=int, default=tc.epochs)
+    p.add_argument("--batch-size", type=int, default=tc.batch_size)
+    p.add_argument("--patch-size", type=int, default=tc.patch_size)
+    p.add_argument("--patches-per-image", type=int, default=tc.patches_per_image)
+    p.add_argument("--learning-rate", type=float, default=tc.learning_rate)
+    p.add_argument("--validation-interval", type=int,
+                   default=tc.validation_interval)
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.add_argument("--history", metavar="CSV",
                    help="write per-epoch loss history")

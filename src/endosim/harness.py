@@ -16,7 +16,7 @@ import io
 import time
 import uuid
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -36,7 +36,14 @@ __all__ = [
     "CompareReport",
 ]
 
-AXES = ("offset", "inter_fiber_distance", "fiber_diameter")
+# Grid order: (axis, SweepConfig field holding its values, DegradationConfig
+# field a cell overrides). The baseline of each axis is "baseline_" + the
+# values field.
+_AXES = (
+    ("offset", "offset_um", "max_offset_um"),
+    ("inter_fiber_distance", "inter_fiber_distance_um", "inter_fiber_distance_um"),
+    ("fiber_diameter", "fiber_diameter_um", "fiber_diameter_um"),
+)
 
 
 @dataclass(frozen=True)
@@ -63,38 +70,19 @@ class SweepConfig:
 
     def cells(self) -> list["SweepCell"]:
         """Grid enumeration: offset axis, then s axis, then m axis."""
+        baseline = {"pixel_size_um": self.pixel_size_um}
+        for _, values, field in _AXES:
+            baseline[field] = getattr(self, "baseline_" + values)
         out: list[SweepCell] = []
-        axis_values = {
-            "offset": self.offset_um,
-            "inter_fiber_distance": self.inter_fiber_distance_um,
-            "fiber_diameter": self.fiber_diameter_um,
-        }
-        for axis_idx, axis in enumerate(AXES):
-            for cell_idx, value in enumerate(axis_values[axis]):
-                m = self.baseline_fiber_diameter_um
-                s = self.baseline_inter_fiber_distance_um
-                d = self.baseline_offset_um
-                if axis == "offset":
-                    d = value
-                elif axis == "inter_fiber_distance":
-                    s = value
-                else:
-                    m = value
+        for axis_idx, (axis, values, field) in enumerate(_AXES):
+            for cell_idx, value in enumerate(getattr(self, values)):
                 try:
-                    cfg = DegradationConfig(
-                        pixel_size_um=self.pixel_size_um,
-                        fiber_diameter_um=m,
-                        inter_fiber_distance_um=s,
-                        max_offset_um=d,
-                    )
+                    cfg = DegradationConfig(**{**baseline, field: value})
                 except ValueError as exc:
                     raise ValueError(
                         f"invalid sweep cell {axis}[{cell_idx}]={value}: {exc}"
                     ) from exc
-                out.append(
-                    SweepCell(axis=axis, axis_idx=axis_idx, cell_idx=cell_idx,
-                              degradation=cfg)
-                )
+                out.append(SweepCell(axis, axis_idx, cell_idx, cfg))
         return out
 
 
@@ -124,11 +112,8 @@ class ResultRow:
     train_seconds: float
 
 
-RESULTS_HEADER = [
-    "axis", "m_um", "s_um", "d_um", "seed",
-    "mean_psnr_lr", "std_psnr_lr", "mean_psnr_sr", "std_psnr_sr",
-    "mean_ssim_lr", "std_ssim_lr", "mean_ssim_sr", "std_ssim_sr",
-]
+# wall time goes to timings.csv, so results.csv is byte-identical across runs
+RESULTS_HEADER = [f.name for f in fields(ResultRow) if f.name != "train_seconds"]
 
 
 def _cell_seeds(base_seed: int, cell: SweepCell, count: int) -> list[int]:
@@ -136,13 +121,6 @@ def _cell_seeds(base_seed: int, cell: SweepCell, count: int) -> list[int]:
         entropy=base_seed, spawn_key=(cell.axis_idx, cell.cell_idx)
     )
     return [int(s) for s in ss.generate_state(count, dtype=np.uint32)]
-
-
-@dataclass
-class CellOutput:
-    row: ResultRow
-    weights: bytes
-    sample_triple: tuple[Image, Image, Image]  # (hr, lr, sr)
 
 
 def _make_pairs(
@@ -158,55 +136,51 @@ def _make_pairs(
     return pairs
 
 
-def _run_cell(config: SweepConfig, cell: SweepCell) -> CellOutput:
+def _run_cell(config: SweepConfig, cell: SweepCell, out: Path | None) -> ResultRow:
+    """Train and score one cell. With an output directory, the cell's
+    weights, first hr/lr/sr test triple and LR line profile are written
+    there before it returns."""
     data_seed, train_seed = _cell_seeds(config.base_seed, cell, 2)
     train_pairs = _make_pairs(config, cell, 0, config.train_count, data_seed)
     val_pairs = _make_pairs(config, cell, 10_000, config.val_count, data_seed)
     test_pairs = _make_pairs(config, cell, 20_000, config.test_count, data_seed)
 
-    cfg = TrainConfig(
-        **{**vars(config.train_config), "seed": train_seed}
-    )
     t0 = time.monotonic()
-    model, _history = train(train_pairs, val_pairs, cfg)
+    model, _history = train(
+        train_pairs, val_pairs, replace(config.train_config, seed=train_seed))
     train_seconds = time.monotonic() - t0
 
-    psnr_lr, psnr_sr, ssim_lr, ssim_sr = [], [], [], []
+    scores: dict[str, list[float]] = {
+        "psnr_lr": [], "psnr_sr": [], "ssim_lr": [], "ssim_sr": []}
     sample: tuple[Image, Image, Image] | None = None
     for lr_img, hr_img in test_pairs:
         sr_img = infer(model, lr_img)
-        psnr_lr.append(psnr(hr_img, lr_img))
-        psnr_sr.append(psnr(hr_img, sr_img))
-        ssim_lr.append(ssim(hr_img, lr_img))
-        ssim_sr.append(ssim(hr_img, sr_img))
+        for tag, img in (("lr", lr_img), ("sr", sr_img)):
+            scores[f"psnr_{tag}"].append(psnr(hr_img, img))
+            scores[f"ssim_{tag}"].append(ssim(hr_img, img))
         if sample is None:
             sample = (hr_img, lr_img, sr_img)
 
-    def mean_std(values: list[float]) -> tuple[float, float]:
-        arr = np.asarray(values, dtype=np.float64)
-        with np.errstate(invalid="ignore"):
-            std = float(np.std(arr, ddof=1)) if len(arr) > 1 else 0.0
-            return float(np.mean(arr)), std
+    if out is not None:
+        stem = f"{cell.axis}_{cell.cell_idx:02d}"
+        _atomic_write(out / f"{stem}.weights", save_weights(model))
+        hr, lr, sr = sample
+        for tag, img in (("hr", hr), ("lr", lr), ("sr", sr)):
+            _atomic_write(out / f"{stem}_{tag}.pgm", save_pgm(img))
+        profile = line_profile(lr, hr.height // 2, 0, lr.width)
+        _atomic_write(out / f"{stem}_profile.csv",
+                      profile_csv(profile, col_start=0).encode())
 
-    mean_psnr_lr, std_psnr_lr = mean_std(psnr_lr)
-    mean_psnr_sr, std_psnr_sr = mean_std(psnr_sr)
-    mean_ssim_lr, std_ssim_lr = mean_std(ssim_lr)
-    mean_ssim_sr, std_ssim_sr = mean_std(ssim_sr)
+    stats = {}
+    with np.errstate(invalid="ignore"):
+        for name, values in scores.items():
+            arr = np.asarray(values, dtype=np.float64)
+            stats[f"mean_{name}"] = float(np.mean(arr))
+            stats[f"std_{name}"] = float(np.std(arr, ddof=1)) if len(arr) > 1 else 0.0
     d = cell.degradation
-    row = ResultRow(
-        axis=cell.axis,
-        m_um=d.fiber_diameter_um,
-        s_um=d.inter_fiber_distance_um,
-        d_um=d.max_offset_um,
-        seed=data_seed,
-        mean_psnr_lr=mean_psnr_lr, std_psnr_lr=std_psnr_lr,
-        mean_psnr_sr=mean_psnr_sr, std_psnr_sr=std_psnr_sr,
-        mean_ssim_lr=mean_ssim_lr, std_ssim_lr=std_ssim_lr,
-        mean_ssim_sr=mean_ssim_sr, std_ssim_sr=std_ssim_sr,
-        train_seconds=train_seconds,
-    )
-    assert sample is not None
-    return CellOutput(row=row, weights=save_weights(model), sample_triple=sample)
+    return ResultRow(
+        axis=cell.axis, m_um=d.fiber_diameter_um, s_um=d.inter_fiber_distance_um,
+        d_um=d.max_offset_um, seed=data_seed, train_seconds=train_seconds, **stats)
 
 
 def results_csv(rows: list[ResultRow]) -> str:
@@ -216,77 +190,61 @@ def results_csv(rows: list[ResultRow]) -> str:
     w = csv.writer(buf, lineterminator="\n")
     w.writerow(RESULTS_HEADER)
     for r in rows:
-        w.writerow(
-            [r.axis, f"{r.m_um:.9g}", f"{r.s_um:.9g}", f"{r.d_um:.9g}", r.seed]
-            + [f"{getattr(r, name):.9g}" for name in RESULTS_HEADER[5:]]
-        )
+        w.writerow([getattr(r, name) if name in ("axis", "seed")
+                    else f"{getattr(r, name):.9g}" for name in RESULTS_HEADER])
     return buf.getvalue()
 
 
 def run_sweep(
     config: SweepConfig, out_dir: str | Path | None = None, threads: int = 1
 ) -> tuple[list[ResultRow], str]:
-    """Run every grid cell, optionally writing results.csv, timings.csv,
-    per-cell weights and hr/lr/sr sample PGM triples under out_dir.
+    """Run every grid cell on a pool of `threads` workers. With out_dir,
+    each cell writes its weights, hr/lr/sr sample PGMs and line profile
+    there as it finishes; results.csv and timings.csv follow once every
+    cell has succeeded.
 
-    Cells may run on a thread pool; rows are emitted in grid order
-    regardless of completion order and are identical for any worker count.
+    Rows come in grid order and are identical for any worker count. A
+    failing cell does not stop the others; once they finish, the first
+    error in grid order is raised and neither table is written.
     """
+    if threads < 1:
+        raise ValueError(f"threads must be >= 1, got {threads}")
     cells = config.cells()
     if not cells:
         raise ValueError("sweep grid is empty")
+    out = None if out_dir is None else Path(out_dir)
+    if out is not None:
+        out.mkdir(parents=True, exist_ok=True)
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            outputs = list(pool.map(lambda c: _run_cell(config, c), cells))
-    else:
-        outputs = [_run_cell(config, c) for c in cells]
-
-    rows = [o.row for o in outputs]
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        futures = [pool.submit(_run_cell, config, c, out) for c in cells]
+    rows = [f.result() for f in futures]
     csv_text = results_csv(rows)
 
-    if out_dir is not None:
-        out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
+    if out is not None:
         _atomic_write(out / "results.csv", csv_text.encode())
         buf = io.StringIO()
         w = csv.writer(buf, lineterminator="\n")
-        w.writerow(["axis", "m_um", "s_um", "d_um", "train_seconds"])
+        w.writerow(RESULTS_HEADER[:4] + ["train_seconds"])
         for r in rows:
             w.writerow([r.axis, f"{r.m_um:.9g}", f"{r.s_um:.9g}", f"{r.d_um:.9g}",
                         f"{r.train_seconds:.3f}"])
         _atomic_write(out / "timings.csv", buf.getvalue().encode())
-        for cell, o in zip(cells, outputs):
-            stem = f"{cell.axis}_{cell.cell_idx:02d}"
-            _atomic_write(out / f"{stem}.weights", o.weights)
-            hr, lr, sr = o.sample_triple
-            for tag, img in (("hr", hr), ("lr", lr), ("sr", sr)):
-                _atomic_write(out / f"{stem}_{tag}.pgm", save_pgm(img))
-            row_idx = hr.height // 2
-            profile = line_profile(lr, row_idx, 0, lr.width)
-            _atomic_write(
-                out / f"{stem}_profile.csv",
-                profile_csv(profile, col_start=0).encode(),
-            )
     return rows, csv_text
 
 
-_SWEEP_KEYS = {
-    "phantom_specs", "train_count", "val_count", "test_count",
-    "offset_um", "inter_fiber_distance_um", "fiber_diameter_um",
-    "baseline_fiber_diameter_um", "baseline_inter_fiber_distance_um",
-    "baseline_offset_um", "pixel_size_um", "train", "base_seed",
-}
-_PHANTOM_KEYS = {
-    "width", "height", "nuclei_per_megapixel", "nucleus_radius_px",
-    "nucleus_intensity", "background_level", "background_noise_sd",
-    "eccentricity_max", "label",
-}
-_TRAIN_KEYS = {
-    "learning_rate", "epochs", "batch_size", "patch_size", "patches_per_image",
-    "adam_beta1", "adam_beta2", "adam_eps", "seed", "validation_interval",
-    "lrelu_slope",
-}
+# JSON key of each config field whose key differs from its name
+_JSON_KEYS = {"train_config": "train"}
+
+
+def _json_kwargs(cls: type, doc: dict, what: str) -> dict:
+    """doc as keyword arguments for the dataclass cls, with JSON lists as
+    tuples; a key that names no field of cls is rejected."""
+    names = {_JSON_KEYS.get(f.name, f.name): f.name for f in fields(cls)}
+    unknown = set(doc) - set(names)
+    if unknown:
+        raise ValueError(f"unknown {what} keys: {sorted(unknown)}")
+    return {names[k]: tuple(v) if isinstance(v, list) else v for k, v in doc.items()}
 
 
 def sweep_config_from_json(doc: dict) -> SweepConfig:
@@ -294,36 +252,16 @@ def sweep_config_from_json(doc: dict) -> SweepConfig:
     rejected at every level."""
     if not isinstance(doc, dict):
         raise ValueError("sweep config must be a JSON object")
-    unknown = set(doc) - _SWEEP_KEYS
-    if unknown:
-        raise ValueError(f"unknown sweep config keys: {sorted(unknown)}")
-    if "phantom_specs" not in doc:
+    kwargs = _json_kwargs(SweepConfig, doc, "sweep config")
+    if "phantom_specs" not in kwargs:
         raise ValueError("sweep config requires phantom_specs")
-
-    specs = []
-    for entry in doc["phantom_specs"]:
-        bad = set(entry) - _PHANTOM_KEYS
-        if bad:
-            raise ValueError(f"unknown phantom spec keys: {sorted(bad)}")
-        kwargs = dict(entry)
-        for pair_key in ("nucleus_radius_px", "nucleus_intensity"):
-            if pair_key in kwargs:
-                kwargs[pair_key] = tuple(kwargs[pair_key])
-        specs.append(PhantomSpec(**kwargs))
-
-    train_doc = doc.get("train", {})
-    bad = set(train_doc) - _TRAIN_KEYS
-    if bad:
-        raise ValueError(f"unknown train config keys: {sorted(bad)}")
-    train_cfg = TrainConfig(**train_doc)
-
-    kwargs = {
-        k: v for k, v in doc.items() if k not in ("phantom_specs", "train")
-    }
-    for list_key in ("offset_um", "inter_fiber_distance_um", "fiber_diameter_um"):
-        if list_key in kwargs:
-            kwargs[list_key] = tuple(kwargs[list_key])
-    return SweepConfig(phantom_specs=tuple(specs), train_config=train_cfg, **kwargs)
+    kwargs["phantom_specs"] = tuple(
+        PhantomSpec(**_json_kwargs(PhantomSpec, entry, "phantom spec"))
+        for entry in kwargs["phantom_specs"]
+    )
+    kwargs["train_config"] = TrainConfig(
+        **_json_kwargs(TrainConfig, doc.get("train", {}), "train config"))
+    return SweepConfig(**kwargs)
 
 
 def _atomic_write(path: str | Path, payload: bytes) -> None:

@@ -214,12 +214,6 @@ def equivalence_sample_size(
 METRIC_NAMES = ("accuracy", "sensitivity", "specificity")
 
 
-def _reader_metric(records: list[ReadRecord], reader: str, modality: str,
-                   confidence: str | None, metric: str) -> float:
-    s = summarize(records, modality=modality, confidence=confidence, reader_id=reader)
-    return getattr(s, metric)
-
-
 def study_report(records: list[ReadRecord]) -> dict:
     """Per-reader HR/SR summaries, confidence-stratified summaries,
     confidence rates and HR-vs-SR t-tests across readers."""
@@ -229,16 +223,16 @@ def study_report(records: list[ReadRecord]) -> dict:
         raise ValueError("study needs at least 2 readers and both modalities")
 
     per_reader: dict[tuple[str, str, str], DiagnosticSummary] = {}
-    strata: list[str | None] = [None, "high", "low"]
+    strata = ("all", "high", "low")
     for reader in readers:
         for modality in MODALITIES:
-            for conf in strata:
+            for stratum in strata:
                 try:
-                    s = summarize(records, modality=modality, confidence=conf,
-                                  reader_id=reader)
+                    s = summarize(records, modality=modality, reader_id=reader,
+                                  confidence=None if stratum == "all" else stratum)
                 except ValueError:
                     continue
-                per_reader[(reader, modality, conf or "all")] = s
+                per_reader[(reader, modality, stratum)] = s
 
     confidence_rates = {}
     for reader in readers:
@@ -250,23 +244,17 @@ def study_report(records: list[ReadRecord]) -> dict:
                 confidence_rates[(reader, modality)] = high / len(reads)
 
     tests = {}
-    for conf in strata:
+    for stratum in strata:
+        hr, sr = ([per_reader.get((reader, modality, stratum)) for reader in readers]
+                  for modality in MODALITIES)
+        if None in hr + sr:
+            continue  # stratum empty for some reader/modality cell
         for metric in METRIC_NAMES:
-            try:
-                groups = {
-                    modality: [
-                        _reader_metric(records, reader, modality, conf, metric)
-                        for reader in readers
-                    ]
-                    for modality in MODALITIES
-                }
-            except ValueError:
-                continue  # stratum empty for some reader/modality cell
-            if any(math.isnan(v) for g in groups.values() for v in g):
+            a = [getattr(s, metric) for s in hr]
+            b = [getattr(s, metric) for s in sr]
+            if any(math.isnan(v) for v in a + b):
                 continue  # a NOT_DEFINED ratio cannot enter a t-test
-            tests[(conf or "all", metric)] = unpaired_t_test(
-                groups["HR"], groups["SR"]
-            )
+            tests[(stratum, metric)] = unpaired_t_test(a, b)
     tests[("all", "high_confidence_rate")] = unpaired_t_test(
         [confidence_rates[(r, "HR")] for r in readers],
         [confidence_rates[(r, "SR")] for r in readers],

@@ -23,6 +23,7 @@ __all__ = [
     "TrainConfig",
     "AdamState",
     "TrainHistory",
+    "TrainingDiverged",
     "conv2d",
     "lrelu",
     "forward",
@@ -321,13 +322,23 @@ class TrainHistory:
         return min(r[2] for r in self.rows if not np.isnan(r[2]))
 
 
-def _validation_mse(model: SrcnnModel, val_pairs: list[tuple[Image, Image]]) -> float:
+class TrainingDiverged(ValueError):
+    """A training or validation loss became NaN or infinite."""
+
+
+def _validation_mse(
+    model: SrcnnModel, val_pairs: list[tuple[Image, Image]], epoch: int
+) -> float:
     dtype = model.layer1.kernel.dtype
     total = 0.0
     for lr_img, hr_img in val_pairs:
         pred = _forward_frame(model, lr_img.data.astype(dtype))
         total += mse_loss(pred, hr_img.data.astype(dtype))
-    return total / len(val_pairs)
+    mse = total / len(val_pairs)
+    if not np.isfinite(mse):
+        raise TrainingDiverged(
+            f"training diverged: validation MSE {mse} at epoch {epoch}")
+    return mse
 
 
 def train(
@@ -341,7 +352,8 @@ def train(
     (one crop window shared by the LR and HR members), shuffled, consumed
     in batches of batch_size with one Adam step each; then a full-frame
     validation pass. The returned model is the snapshot with the smallest
-    validation MSE seen, including the initialized model.
+    validation MSE seen, including the initialized model. A batch loss or
+    validation MSE that is NaN or infinite raises TrainingDiverged.
     """
     if not pairs or not val_pairs:
         raise ValueError("training and validation sets must be non-empty")
@@ -357,7 +369,7 @@ def train(
     state = AdamState.zeros_like(params)
 
     history = TrainHistory()
-    best_val = _validation_mse(model, val_pairs)
+    best_val = _validation_mse(model, val_pairs, 0)
     best_params = params
     history.rows.append((0, float("nan"), best_val))
 
@@ -384,13 +396,16 @@ def train(
             t = np.stack([patches[i][1] for i in idx])[:, None]
             model = model.with_parameters(params)
             batch_loss, grads = loss_and_grads(model, x, t)
+            n_batches += 1
+            if not np.isfinite(batch_loss):
+                raise TrainingDiverged(f"training diverged: batch loss {batch_loss} "
+                                       f"at epoch {epoch}, step {n_batches}")
             epoch_loss += batch_loss
             params, state = adam_step(params, grads, state, cfg)
-            n_batches += 1
 
         model = model.with_parameters(params)
         if epoch % cfg.validation_interval == 0 or epoch == cfg.epochs:
-            val = _validation_mse(model, val_pairs)
+            val = _validation_mse(model, val_pairs, epoch)
             if val < best_val:
                 best_val = val
                 best_params = params

@@ -20,11 +20,12 @@ from endosim.harness import (
 from endosim.image import Image
 from endosim.metrics import psnr, ssim
 from endosim.phantom import PhantomSpec
-from endosim.srcnn import TrainConfig, init_model
+from endosim.srcnn import TrainConfig, TrainingDiverged, init_model
 
 TINY_SPEC = PhantomSpec(width=64, height=64, nucleus_radius_px=(2.0, 4.0))
 TINY_TRAIN = TrainConfig(epochs=2, patch_size=32, patches_per_image=2,
                          batch_size=4, validation_interval=1)
+CELL_SUFFIXES = (".weights", "_hr.pgm", "_lr.pgm", "_sr.pgm", "_profile.csv")
 
 
 def tiny_config(**kw):
@@ -184,10 +185,58 @@ class TestRunSweep:
             "axis,m_um,s_um,d_um", "offset,2,2,0", "inter_fiber_distance,2,2,0",
         ]
 
+    def test_cell_files_identical_across_thread_counts(self, tmp_path):
+        cfg = tiny_config(offset_um=(0.0, 2.0), fiber_diameter_um=(2.0,))
+        files = []
+        for threads in (1, 2):
+            out = tmp_path / f"threads{threads}"
+            run_sweep(cfg, out_dir=out, threads=threads)
+            files.append({p.name: p.read_bytes() for p in out.iterdir()
+                          if p.name != "timings.csv"})
+        assert len(files[0]) == 1 + 3 * len(CELL_SUFFIXES)
+        assert files[0] == files[1]
+
+    def test_threads_below_one_rejected(self, tmp_path):
+        with pytest.raises(ValueError, match="threads"):
+            run_sweep(tiny_config(offset_um=(0.0,)), threads=0)
+        config = tmp_path / "sweep.json"
+        config.write_text(json.dumps(TestSweepConfigJson.DOC))
+        out = tmp_path / "out"
+        argv = ["sweep", "--config", str(config), "--out", str(out), "--threads", "0"]
+        assert dispatch(argv) == 2
+        assert not out.exists()
+
+    def test_failed_cell_keeps_finished_cells(self, tmp_path, monkeypatch):
+        config = tmp_path / "sweep.json"
+        doc = dict(TestSweepConfigJson.DOC, offset_um=[0, 2, 4, 6])
+        config.write_text(json.dumps(doc))
+        cfg = sweep_config_from_json(doc)
+        # cells 1 and 3 diverge; the error raised is cell 1's
+        failing = {harness._cell_seeds(cfg.base_seed, cfg.cells()[i], 2)[1]: i
+                   for i in (1, 3)}
+
+        def train(pairs, val, train_cfg):
+            if train_cfg.seed in failing:
+                raise TrainingDiverged(f"cell {failing[train_cfg.seed]} diverged")
+            return init_model(train_cfg.seed, channels=(2, 2)), None
+
+        monkeypatch.setattr(harness, "train", train)
+        expected = {f"offset_{i:02d}{suffix}"
+                    for i in (0, 2) for suffix in CELL_SUFFIXES}
+        for threads in (1, 2):
+            out = tmp_path / f"threads{threads}"
+            with pytest.raises(TrainingDiverged, match="cell 1 diverged"):
+                run_sweep(cfg, out_dir=out, threads=threads)
+            assert {p.name for p in out.iterdir()} == expected
+        out = tmp_path / "cli"
+        argv = ["sweep", "--config", str(config), "--out", str(out), "--threads", "2"]
+        assert dispatch(argv) == 2
+        assert {p.name for p in out.iterdir()} == expected
+
 
 class TestSweepConfigJson:
     DOC = {
-        "phantom_specs": [{"width": 64, "height": 64}],
+        "phantom_specs": [{"width": 64, "height": 64, "nucleus_radius_px": [2.0, 4.0]}],
         "train_count": 2, "val_count": 1, "test_count": 2,
         "offset_um": [0.0, 2.0],
         "baseline_fiber_diameter_um": 4.0,
@@ -201,11 +250,14 @@ class TestSweepConfigJson:
         assert cfg.offset_um == (0.0, 2.0)
         assert cfg.train_config.epochs == 2
         assert cfg.phantom_specs[0].width == 64
+        assert cfg.phantom_specs[0].nucleus_radius_px == (2.0, 4.0)
 
     def test_unknown_top_level_key(self):
-        doc = dict(self.DOC, bogus=1)
-        with pytest.raises(ValueError, match="bogus"):
-            sweep_config_from_json(doc)
+        # the JSON key of train_config is "train"; the field name is not a key
+        for key in ("bogus", "train_config"):
+            with pytest.raises(ValueError,
+                               match=f"unknown sweep config keys: \\['{key}'\\]"):
+                sweep_config_from_json(dict(self.DOC, **{key: {}}))
 
     def test_unknown_train_key(self):
         doc = dict(self.DOC, train={"epochs": 2, "momentum": 0.9})

@@ -8,6 +8,7 @@ from endosim.srcnn import (
     ConvLayer,
     SrcnnModel,
     TrainConfig,
+    TrainingDiverged,
     adam_step,
     conv2d,
     forward,
@@ -319,6 +320,19 @@ class TestTrain:
         with pytest.raises(ValueError):
             train([], [], TrainConfig())
 
+    @pytest.mark.parametrize("interval, where", [
+        (1, "validation MSE nan at epoch 1"),
+        (3, "batch loss nan at epoch 2, step 1"),
+    ])
+    def test_divergence_raises(self, interval, where):
+        # lr 1e6 overflows the first Adam steps; the parameters turn NaN
+        pairs = tiny_pairs(np.random.default_rng(16), 2, size=32)
+        cfg = TrainConfig(epochs=3, patch_size=16, patches_per_image=4, batch_size=4,
+                          learning_rate=1e6, validation_interval=interval)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(TrainingDiverged, match=where):
+                train(pairs, pairs, cfg)
+
     def test_patch_larger_than_image_rejected(self):
         rng = np.random.default_rng(13)
         pairs = tiny_pairs(rng, 1, size=8)
@@ -377,7 +391,7 @@ class TestInfer:
         # validation runs the same band loop, on the unclipped output
         hr = Image(rng.uniform(0, 1, (height, width)))
         expected_val = mse_loss(forward(m, x), hr.data.astype(dtype)[None, None])
-        assert abs(srcnn._validation_mse(m, [(lr, hr)]) - expected_val) <= tol
+        assert abs(srcnn._validation_mse(m, [(lr, hr)], 0) - expected_val) <= tol
 
     def test_tiled_inference_matches_full_frame(self):
         rng = np.random.default_rng(17)
