@@ -12,9 +12,13 @@ results do not depend on execution order or worker count.
 from __future__ import annotations
 
 import csv
+import ctypes
+import functools
 import io
 import time
 import uuid
+import warnings
+from collections.abc import Iterable
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
@@ -30,6 +34,7 @@ from .srcnn import TrainConfig, infer, save_weights, train
 __all__ = [
     "SweepConfig",
     "ResultRow",
+    "SweepFailed",
     "run_sweep",
     "line_profile",
     "compare_report",
@@ -183,29 +188,64 @@ def _run_cell(config: SweepConfig, cell: SweepCell, out: Path | None) -> ResultR
         d_um=d.max_offset_um, seed=data_seed, train_seconds=train_seconds, **stats)
 
 
+def _csv_text(header: list[str], rows: Iterable[list]) -> str:
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows([header, *rows])
+    return buf.getvalue()
+
+
 def results_csv(rows: list[ResultRow]) -> str:
     """Deterministic results table; wall times are deliberately excluded
     (they go to timings.csv) so repeated runs are byte-identical."""
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(RESULTS_HEADER)
-    for r in rows:
-        w.writerow([getattr(r, name) if name in ("axis", "seed")
-                    else f"{getattr(r, name):.9g}" for name in RESULTS_HEADER])
-    return buf.getvalue()
+    return _csv_text(RESULTS_HEADER, (
+        [getattr(r, name) if name in ("axis", "seed") else f"{getattr(r, name):.9g}"
+         for name in RESULTS_HEADER] for r in rows))
+
+
+class SweepFailed(ValueError):
+    """Sweep cells failed; the first failure in grid order is the __cause__."""
+
+
+@functools.cache
+def _openblas_thread_fns() -> tuple:
+    """(get, set) thread-count functions of each OpenBLAS mapped into this
+    process, found by symbol as threadpoolctl does. numpy and scipy load one
+    each and name the pair differently; np.matmul calls numpy's."""
+    try:
+        with open("/proc/self/maps") as fh:
+            paths = sorted({ln.split()[-1] for ln in fh if "openblas" in ln.lower()})
+        libs = [ctypes.CDLL(path) for path in paths]
+    except OSError:
+        return ()
+    fns = []
+    for lib in libs:
+        for name in ("scipy_openblas_{}_num_threads64_", "scipy_openblas_{}_num_threads",
+                     "openblas_{}_num_threads64_", "openblas_{}_num_threads"):
+            get, set_ = (getattr(lib, name.format(op), None) for op in ("get", "set"))
+            if get and set_:
+                get.argtypes, get.restype = (), ctypes.c_int
+                set_.argtypes, set_.restype = (ctypes.c_int,), None
+                fns.append((get, set_))
+    return tuple(fns)
 
 
 def run_sweep(
     config: SweepConfig, out_dir: str | Path | None = None, threads: int = 1
 ) -> tuple[list[ResultRow], str]:
-    """Run every grid cell on a pool of `threads` workers. With out_dir,
-    each cell writes its weights, hr/lr/sr sample PGMs and line profile
-    there as it finishes; results.csv and timings.csv follow once every
-    cell has succeeded.
+    """Run every grid cell on a pool of min(threads, cells) workers. With
+    out_dir, each cell writes its weights, hr/lr/sr sample PGMs and line
+    profile there as it finishes; results.csv and timings.csv follow once
+    every cell has succeeded.
+
+    While two or more cells run at once, OpenBLAS runs one thread, so cells
+    do not compete with BLAS threads for the cores. The cap is process-wide
+    and is lifted when the pool is done; two sweeps overlapping in one
+    process would restore each other's counts. With no OpenBLAS to cap, a
+    RuntimeWarning names numpy's BLAS and the sweep runs uncapped.
 
     Rows come in grid order and are identical for any worker count. A
-    failing cell does not stop the others; once they finish, the first
-    error in grid order is raised and neither table is written.
+    failing cell does not stop the others; once they finish, SweepFailed
+    names every failed cell, and neither table is written.
     """
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
@@ -216,20 +256,34 @@ def run_sweep(
     if out is not None:
         out.mkdir(parents=True, exist_ok=True)
 
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        futures = [pool.submit(_run_cell, config, c, out) for c in cells]
+    workers = min(threads, len(cells))
+    blas = _openblas_thread_fns() if workers > 1 else ()
+    if workers > 1 and not blas:
+        name = np.__config__.CONFIG.get("Build Dependencies", {}).get("blas", {}).get("name")
+        warnings.warn(f"cannot cap the threads of numpy's BLAS ({name}); "
+                      "concurrent cells share them", RuntimeWarning, stacklevel=2)
+    old = [get() for get, _ in blas]
+    try:
+        for _, set_ in blas:
+            set_(1)
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            futures = [pool.submit(_run_cell, config, c, out) for c in cells]
+    finally:
+        for (_, set_), count in zip(blas, old):
+            set_(count)
+    failed = [(c, e) for c, f in zip(cells, futures) if (e := f.exception()) is not None]
+    if failed:
+        names = ", ".join(f"{c.axis}[{c.cell_idx}]" for c, _ in failed)
+        raise SweepFailed(f"sweep cells {names} failed: {failed[0][1]}") from failed[0][1]
     rows = [f.result() for f in futures]
     csv_text = results_csv(rows)
 
     if out is not None:
         _atomic_write(out / "results.csv", csv_text.encode())
-        buf = io.StringIO()
-        w = csv.writer(buf, lineterminator="\n")
-        w.writerow(RESULTS_HEADER[:4] + ["train_seconds"])
-        for r in rows:
-            w.writerow([r.axis, f"{r.m_um:.9g}", f"{r.s_um:.9g}", f"{r.d_um:.9g}",
-                        f"{r.train_seconds:.3f}"])
-        _atomic_write(out / "timings.csv", buf.getvalue().encode())
+        timings = _csv_text(RESULTS_HEADER[:4] + ["train_seconds"], (
+            [r.axis, f"{r.m_um:.9g}", f"{r.s_um:.9g}", f"{r.d_um:.9g}", f"{r.train_seconds:.3f}"]
+            for r in rows))
+        _atomic_write(out / "timings.csv", timings.encode())
     return rows, csv_text
 
 
@@ -293,12 +347,8 @@ def line_profile(image: Image, row: int, col_start: int, col_end: int) -> np.nda
 
 
 def profile_csv(profile: np.ndarray, col_start: int = 0) -> str:
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(["col", "intensity"])
-    for i, v in enumerate(profile):
-        w.writerow([col_start + i, f"{v:.9g}"])
-    return buf.getvalue()
+    return _csv_text(["col", "intensity"],
+                     ([col_start + i, f"{v:.9g}"] for i, v in enumerate(profile)))
 
 
 @dataclass(frozen=True)

@@ -341,6 +341,8 @@ def _validation_mse(
     return mse
 
 
+# a diverging run's non-finite Adam update meets a loss check that raises
+@np.errstate(over="ignore", invalid="ignore")
 def train(
     pairs: list[tuple[Image, Image]],
     val_pairs: list[tuple[Image, Image]],

@@ -1,6 +1,7 @@
 import json
 import math
 import stat
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from endosim.cli import dispatch
 from endosim.degrade import DegradationConfig, degrade
 from endosim.harness import (
     SweepConfig,
+    SweepFailed,
     _atomic_write,
     compare_report,
     line_profile,
@@ -206,12 +208,12 @@ class TestRunSweep:
         assert dispatch(argv) == 2
         assert not out.exists()
 
-    def test_failed_cell_keeps_finished_cells(self, tmp_path, monkeypatch):
+    def test_failed_cell_keeps_finished_cells(self, tmp_path, monkeypatch, capsys):
         config = tmp_path / "sweep.json"
         doc = dict(TestSweepConfigJson.DOC, offset_um=[0, 2, 4, 6])
         config.write_text(json.dumps(doc))
         cfg = sweep_config_from_json(doc)
-        # cells 1 and 3 diverge; the error raised is cell 1's
+        # cells 1 and 3 diverge; the error names both and carries cell 1's
         failing = {harness._cell_seeds(cfg.base_seed, cfg.cells()[i], 2)[1]: i
                    for i in (1, 3)}
 
@@ -223,15 +225,103 @@ class TestRunSweep:
         monkeypatch.setattr(harness, "train", train)
         expected = {f"offset_{i:02d}{suffix}"
                     for i in (0, 2) for suffix in CELL_SUFFIXES}
+        message = r"offset\[1\], offset\[3\] failed: cell 1 diverged"
         for threads in (1, 2):
             out = tmp_path / f"threads{threads}"
-            with pytest.raises(TrainingDiverged, match="cell 1 diverged"):
+            with pytest.raises(SweepFailed, match=message) as info:
                 run_sweep(cfg, out_dir=out, threads=threads)
+            assert isinstance(info.value.__cause__, TrainingDiverged)
+            assert str(info.value.__cause__) == "cell 1 diverged"
             assert {p.name for p in out.iterdir()} == expected
         out = tmp_path / "cli"
         argv = ["sweep", "--config", str(config), "--out", str(out), "--threads", "2"]
+        capsys.readouterr()
         assert dispatch(argv) == 2
         assert {p.name for p in out.iterdir()} == expected
+        assert capsys.readouterr().err == (
+            "error: sweep cells offset[1], offset[3] failed: cell 1 diverged\n")
+
+
+# the real lookup, kept before any test replaces it
+_BLAS_THREAD_FNS = harness._openblas_thread_fns
+
+
+def blas_threads() -> list[int]:
+    return [get() for get, _ in _BLAS_THREAD_FNS()]
+
+
+class TestBlasCap:
+    """While cells run concurrently, run_sweep caps OpenBLAS at one thread
+    and restores the previous count afterwards."""
+
+    @pytest.fixture(autouse=True)
+    def two_blas_threads(self):
+        fns = _BLAS_THREAD_FNS()
+        if not fns:
+            pytest.skip("no OpenBLAS thread control in this process")
+        old = blas_threads()
+        for _, set_ in fns:
+            set_(2)
+        yield
+        for (_, set_), count in zip(fns, old):
+            set_(count)
+
+    @pytest.fixture
+    def seen(self, monkeypatch):
+        """BLAS thread counts seen by each cell's (stubbed) training."""
+        seen = []
+
+        def train(pairs, val, cfg):
+            seen.append(blas_threads())
+            return init_model(cfg.seed, channels=(2, 2)), None
+
+        monkeypatch.setattr(harness, "train", train)
+        monkeypatch.setattr(harness, "infer", lambda model, lr: lr)
+        return seen
+
+    def test_lookup_reaches_numpy_blas(self):
+        # numpy's wheel bundles a 64-bit-index scipy-openblas, whose symbols
+        # end in 64_; the one scipy bundles has no 64_ symbols
+        blas = np.__config__.CONFIG["Build Dependencies"]["blas"]
+        if (blas.get("name") != "scipy-openblas"
+                or "USE64BITINT" not in blas.get("openblas configuration", "")):
+            pytest.skip("numpy is not built on 64-bit-index scipy-openblas")
+        names = [get.__name__ for get, _ in _BLAS_THREAD_FNS()]
+        assert "scipy_openblas_get_num_threads64_" in names
+
+    def test_capped_while_cells_run_concurrently(self, seen):
+        cfg = tiny_config(offset_um=(0.0, 2.0))
+        run_sweep(cfg, threads=2)
+        assert seen == [[1] * len(blas_threads())] * 2
+        assert set(blas_threads()) == {2}
+
+    def test_restored_after_failed_sweep(self, seen, monkeypatch):
+        def failing_train(pairs, val, cfg):
+            seen.append(blas_threads())
+            raise TrainingDiverged("cell diverged")
+
+        monkeypatch.setattr(harness, "train", failing_train)
+        with pytest.raises(SweepFailed):
+            run_sweep(tiny_config(offset_um=(0.0, 2.0)), threads=2)
+        assert seen == [[1] * len(blas_threads())] * 2
+        assert set(blas_threads()) == {2}
+
+    @pytest.mark.parametrize("offsets, threads", [((0.0, 2.0), 1), ((0.0,), 2)])
+    def test_uncapped_with_one_worker(self, seen, offsets, threads):
+        run_sweep(tiny_config(offset_um=offsets), threads=threads)
+        assert seen and all(set(counts) == {2} for counts in seen)
+        assert set(blas_threads()) == {2}
+
+    def test_warns_without_openblas(self, seen, monkeypatch):
+        cfg = tiny_config(offset_um=(0.0, 2.0))
+        rows, _ = run_sweep(cfg, threads=1)
+        monkeypatch.setattr(harness, "_openblas_thread_fns", lambda: ())
+        with pytest.warns(RuntimeWarning, match="numpy's BLAS"):
+            fallback, _ = run_sweep(cfg, threads=2)
+        assert [replace(r, train_seconds=0) for r in fallback] == [
+            replace(r, train_seconds=0) for r in rows]
+        assert all(set(counts) == {2} for counts in seen)
+        assert set(blas_threads()) == {2}
 
 
 class TestSweepConfigJson:

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -325,11 +327,13 @@ class TestTrain:
         (3, "batch loss nan at epoch 2, step 1"),
     ])
     def test_divergence_raises(self, interval, where):
-        # lr 1e6 overflows the first Adam steps; the parameters turn NaN
+        # lr 1e6 overflows the first Adam steps; the parameters turn NaN, and
+        # no numpy warning comes before the error
         pairs = tiny_pairs(np.random.default_rng(16), 2, size=32)
         cfg = TrainConfig(epochs=3, patch_size=16, patches_per_image=4, batch_size=4,
                           learning_rate=1e6, validation_interval=interval)
-        with np.errstate(over="ignore", invalid="ignore"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             with pytest.raises(TrainingDiverged, match=where):
                 train(pairs, pairs, cfg)
 
