@@ -1,8 +1,10 @@
 """Three-layer super-resolution network with a from-scratch training core.
 
 Forward pass, analytic gradients, Adam updates and the epoch loop are all
-implemented directly on numpy arrays in NCHW layout. Convolutions use zero
-same-padding so the SR frame aligns pixel-to-pixel with the HR frame.
+implemented directly on numpy arrays. NCHW is the public contract; inside,
+convolutions and the training step fold the batch into the GEMM columns and
+work in (C, N*H*W). Convolutions use zero same-padding so the SR frame
+aligns pixel-to-pixel with the HR frame.
 Training arithmetic runs in single precision; the functions are dtype
 preserving so correctness oracles can drive them in double precision.
 """
@@ -119,41 +121,72 @@ def init_model(
     )
 
 
-def _im2col(x: np.ndarray, k: int) -> np.ndarray:
-    """(N, C, H, W) -> (N, C*k*k, H*W) patch matrix under zero same-padding."""
+def _fold(x: np.ndarray) -> np.ndarray:
+    """(N, C, H, W) -> (C, N*H*W), the batch-folded layout of Chetlur et al.,
+    2014 (cuDNN). A free view when N == 1, C == 1 or x came from conv2d."""
+    n, c, h, w = x.shape
+    return x.transpose(1, 0, 2, 3).reshape(c, n * h * w)
+
+
+def _im2col(x: np.ndarray, k: int, out: np.ndarray | None = None) -> np.ndarray:
+    """(N, C, H, W) -> (C*k*k, N*H*W) patch matrix under zero same-padding,
+    written into out (C-contiguous) when given. Each image is padded on its
+    own, so no tap reaches into a neighbouring image."""
     n, c, h, w = x.shape
     p = (k - 1) // 2
-    xp = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p)))
-    win = sliding_window_view(xp, (k, k), axis=(2, 3))  # (N, C, H, W, k, k)
-    return win.transpose(0, 1, 4, 5, 2, 3).reshape(n, c * k * k, h * w)
+    xp = np.pad(x.transpose(1, 0, 2, 3), ((0, 0), (0, 0), (p, p), (p, p)))
+    win = sliding_window_view(xp, (k, k), axis=(2, 3))  # (C, N, H, W, k, k)
+    cols = np.empty((c, k, k, n, h, w), xp.dtype) if out is None else out
+    cols = cols.reshape(c, k, k, n, h, w)
+    cols[...] = win.transpose(0, 4, 5, 1, 2, 3)
+    return cols.reshape(c * k * k, n * h * w)
 
 
-def conv2d(x: np.ndarray, layer: ConvLayer) -> np.ndarray:
+def conv2d(
+    x: np.ndarray,
+    layer: ConvLayer,
+    *,
+    cols: np.ndarray | None = None,
+    out: np.ndarray | None = None,
+) -> np.ndarray:
     """Cross-correlation with zero same-padding; spatial dims preserved.
 
-    The k*k expansion goes on the side with fewer channels: im2col of the
-    input when in <= out, otherwise one GEMM contracts the channels into
-    out*k*k tap maps that are shift-added into a zero-padded output.
+    The batch is folded into the GEMM's column dimension: x is read as
+    (C, N*H*W) and the result is an NCHW view of (out, N, H, W) memory, so
+    chained calls fold for free. The k*k expansion goes on the side with
+    fewer channels: im2col of the input when in <= out, otherwise one GEMM
+    contracts the channels into out*k*k tap maps that are shift-added into
+    a zero-padded output.
+
+    cols is _im2col(x, k) when the caller has built it (used on the im2col
+    path only); out is an array laid out as the result, for it to be
+    written into. Either way the returned array is the result.
     """
     n, c, h, w = x.shape
     if c != layer.in_channels:
         raise ValueError(f"input has {c} channels, layer expects {layer.in_channels}")
-    k, out = layer.k, layer.out_channels
-    if k == 1 or c <= out:
-        cols = x.reshape(n, c, h * w) if k == 1 else _im2col(x, k)
-        y = np.matmul(layer.kernel.reshape(out, -1), cols) + layer.bias[:, None]
-        return y.reshape(n, out, h, w)
-    wt = layer.kernel.transpose(0, 2, 3, 1).reshape(out * k * k, c)
-    taps = np.matmul(wt, x.reshape(n, c, h * w)).reshape(n, out, k, k, h, w)
-    # tap (u, v) at input pixel (i, j) feeds output pixel (i - u + p, j - v + p),
-    # i.e. padded position (i + 2p - u, j + 2p - v)
-    p = (k - 1) // 2
-    yp = np.zeros((n, out, h + 2 * p, w + 2 * p), dtype=taps.dtype)
-    for u in range(k):
-        for v in range(k):
-            i, j = 2 * p - u, 2 * p - v
-            yp[:, :, i : i + h, j : j + w] += taps[:, :, u, v]
-    return yp[:, :, p : p + h, p : p + w] + layer.bias[:, None, None]
+    k, o = layer.k, layer.out_channels
+    if out is not None:
+        out = _fold(out)
+    if k == 1 or c <= o:
+        if cols is None:
+            cols = _fold(x) if k == 1 else _im2col(x, k)
+        y = np.matmul(layer.kernel.reshape(o, -1), cols, out=out)
+        y = np.add(y, layer.bias[:, None], out=out)
+    else:
+        wt = layer.kernel.transpose(0, 2, 3, 1).reshape(o * k * k, c)
+        taps = np.matmul(wt, _fold(x)).reshape(o, k, k, n, h, w)
+        # tap (u, v) at input pixel (i, j) feeds output pixel (i - u + p, j - v + p),
+        # i.e. padded position (i + 2p - u, j + 2p - v)
+        p = (k - 1) // 2
+        yp = np.zeros((o, n, h + 2 * p, w + 2 * p), dtype=taps.dtype)
+        for u in range(k):
+            for v in range(k):
+                i, j = 2 * p - u, 2 * p - v
+                yp[:, :, i : i + h, j : j + w] += taps[:, u, v]
+        y = np.add(yp[:, :, p : p + h, p : p + w], layer.bias[:, None, None, None],
+                   out=None if out is None else out.reshape(o, n, h, w))
+    return y.reshape(o, n, h, w).transpose(1, 0, 2, 3)
 
 
 def lrelu(x: np.ndarray, slope: float) -> np.ndarray:
@@ -164,13 +197,13 @@ def lrelu(x: np.ndarray, slope: float) -> np.ndarray:
     return np.maximum(x, y, out=y)
 
 
-def _lrelu_factor(z: np.ndarray, slope: float) -> np.ndarray:
-    """1 where z >= 0, else slope: lrelu(z) == z * factor exactly, and the
-    factor is also the derivative (taken as 1 at z == 0). Blended from a 0/1
-    mask, which is exact for any finite slope and, unlike np.where, does not
-    branch per element, so mixed signs do not slow it down."""
-    m = (z >= 0).astype(z.dtype)
-    return m + (1 - m) * z.dtype.type(slope)
+def _lrelu_factor(z: np.ndarray, slope: float, out: np.ndarray) -> np.ndarray:
+    """1 where z >= 0, else slope, written into out: lrelu(z) == z * factor
+    exactly, and the factor is also the derivative (taken as 1 at z == 0).
+    max(mask, slope) of a 0/1 mask is exact for 0 <= slope <= 1 and, unlike
+    np.where, does not branch per element, so mixed signs do not slow it."""
+    np.greater_equal(z, 0, out=out)
+    return np.maximum(out, out.dtype.type(slope), out=out)
 
 
 def forward(model: SrcnnModel, lr_batch: np.ndarray) -> np.ndarray:
@@ -197,55 +230,107 @@ def _transpose_layer(layer: ConvLayer) -> ConvLayer:
 
 
 def _conv_param_grads(
-    x: np.ndarray, grad_out: np.ndarray, layer: ConvLayer
+    x: np.ndarray,
+    grad_out: np.ndarray,
+    layer: ConvLayer,
+    *,
+    x_cols: np.ndarray | None = None,
+    g_cols: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Kernel and bias gradients of conv2d(x, layer) given dL/dy.
 
-    Same rule as conv2d: the k*k expansion goes on the side with fewer
-    channels, so dW is one batched GEMM summed over the batch.
+    Same rule and layout as conv2d: the k*k expansion goes on the side with
+    fewer channels, and the batch is folded into the GEMM's inner dimension,
+    so dW is one 2-D GEMM. x_cols and g_cols are _im2col(x, k) and
+    _im2col(grad_out, k) when the caller has built them; the side that is
+    not expanded ignores its matrix.
     """
-    n, c, h, w = x.shape
-    k, out = layer.k, layer.out_channels
-    g = grad_out.reshape(n, out, h * w)
-    db = g.sum(axis=(0, 2))
+    c, k, out = layer.in_channels, layer.k, layer.out_channels
+    g = _fold(grad_out)
+    db = g.sum(axis=1)
     if k == 1 or c <= out:
-        cols = x.reshape(n, c, h * w) if k == 1 else _im2col(x, k)
-        dw = np.matmul(g, cols.transpose(0, 2, 1)).sum(axis=0)
-        return dw.reshape(layer.kernel.shape), db
+        if x_cols is None:
+            x_cols = _fold(x) if k == 1 else _im2col(x, k)
+        return np.matmul(g, x_cols.T).reshape(layer.kernel.shape), db
     # dW[o, c, u, v] pairs x[i, j] with g[i - u + p, j - v + p], which is
     # tap (k-1-u, k-1-v) of the im2col of g
-    gcols = _im2col(grad_out, k)
-    dw = np.matmul(gcols, x.reshape(n, c, h * w).transpose(0, 2, 1)).sum(axis=0)
+    if g_cols is None:
+        g_cols = _im2col(grad_out, k)
+    dw = np.matmul(g_cols, _fold(x).T)
     dw = dw.reshape(out, k, k, c)[:, ::-1, ::-1].transpose(0, 3, 1, 2)
     return np.ascontiguousarray(dw), db
 
 
+class _Workspace:
+    """Named scratch arrays that one train call reuses across its steps.
+
+    get returns the leading elements of the named array, which grows when a
+    larger shape is asked for, so a short last batch reuses the buffers. A
+    workspace belongs to one call: sweep cells train on threads.
+    """
+
+    def __init__(self) -> None:
+        self._arrays: dict[str, np.ndarray] = {}
+
+    def get(self, name: str, shape: tuple[int, ...], dtype: np.dtype) -> np.ndarray:
+        size = int(np.prod(shape))
+        a = self._arrays.get(name)
+        if a is None or a.size < size or a.dtype != dtype:
+            a = self._arrays[name] = np.empty(size, dtype)
+        return a[:size].reshape(shape)
+
+
 def loss_and_grads(
-    model: SrcnnModel, lr_batch: np.ndarray, target: np.ndarray
+    model: SrcnnModel,
+    lr_batch: np.ndarray,
+    target: np.ndarray,
+    *,
+    workspace: _Workspace | None = None,
 ) -> tuple[float, list[np.ndarray]]:
     """Single fused forward/backward pass; returns (mse, gradients) with the
     gradients of mse_loss(forward(model, lr_batch), target) in the order of
-    model.parameters()."""
-    z1 = conv2d(lr_batch, model.layer1)
-    f1 = _lrelu_factor(z1, model.lrelu_slope)
-    a1 = z1 * f1
-    z2 = conv2d(a1, model.layer2)
-    f2 = _lrelu_factor(z2, model.lrelu_slope)
-    a2 = z2 * f2
-    pred = conv2d(a2, model.layer3)
+    model.parameters().
+
+    Activations are held batch-folded as (C, N*H*W) in the workspace's
+    buffers (fresh ones by default). A buffer whose contents are dead is
+    reused: dL/dz2 overwrites a2 and dL/dz1 overwrites a1.
+    """
+    ws = _Workspace() if workspace is None else workspace
+    l1, l2, l3 = model.layers
+    n, _, h, w = lr_batch.shape
+    dtype = lr_batch.dtype
+
+    def cols(name: str, layer: ConvLayer, channels: int) -> np.ndarray:
+        return ws.get(name, (channels * layer.k**2, n * h * w), dtype)
+
+    def act(name: str, c: int) -> np.ndarray:
+        # laid out as conv2d returns its result
+        return ws.get(name, (c, n, h, w), dtype).transpose(1, 0, 2, 3)
+
+    cols1 = _im2col(lr_batch, l1.k, out=cols("cols1", l1, l1.in_channels))
+    # z1 and z2 turn into a1 and a2 in place
+    a1 = conv2d(lr_batch, l1, cols=cols1, out=act("a1", l1.out_channels))
+    f1 = _lrelu_factor(a1, model.lrelu_slope, act("f1", l1.out_channels))
+    a1 *= f1
+    a2 = conv2d(a1, l2, out=act("a2", l2.out_channels))
+    f2 = _lrelu_factor(a2, model.lrelu_slope, act("f2", l2.out_channels))
+    a2 *= f2
+    pred = conv2d(a2, l3)
     if pred.shape != target.shape:
         raise ValueError("loss_and_grads requires matching shapes")
 
-    dtype = lr_batch.dtype
     g3 = (2.0 / pred.size) * (pred - target)
     g3 = g3.astype(dtype, copy=False)
-    dw3, db3 = _conv_param_grads(a2, g3, model.layer3)
+    cols3 = _im2col(g3, l3.k, out=cols("cols3", l3, l3.out_channels))
+    dw3, db3 = _conv_param_grads(a2, g3, l3, g_cols=cols3)
 
-    g_z2 = conv2d(g3, _transpose_layer(model.layer3)) * f2
-    dw2, db2 = _conv_param_grads(a1, g_z2, model.layer2)
+    g_z2 = conv2d(g3, _transpose_layer(l3), cols=cols3, out=a2)  # a2 is dead
+    g_z2 *= f2
+    dw2, db2 = _conv_param_grads(a1, g_z2, l2)
 
-    g_z1 = conv2d(g_z2, _transpose_layer(model.layer2)) * f1
-    dw1, db1 = _conv_param_grads(lr_batch, g_z1, model.layer1)
+    g_z1 = conv2d(g_z2, _transpose_layer(l2), out=a1)  # a1 is dead
+    g_z1 *= f1
+    dw1, db1 = _conv_param_grads(lr_batch, g_z1, l1, x_cols=cols1)
 
     return mse_loss(pred, target), [dw1, db1, dw2, db2, dw3, db3]
 
@@ -369,6 +454,7 @@ def train(
     model = init_model(cfg.seed, lrelu_slope=cfg.lrelu_slope)
     params = model.parameters()
     state = AdamState.zeros_like(params)
+    workspace = _Workspace()
 
     history = TrainHistory()
     best_val = _validation_mse(model, val_pairs, 0)
@@ -397,7 +483,7 @@ def train(
             x = np.stack([patches[i][0] for i in idx])[:, None]
             t = np.stack([patches[i][1] for i in idx])[:, None]
             model = model.with_parameters(params)
-            batch_loss, grads = loss_and_grads(model, x, t)
+            batch_loss, grads = loss_and_grads(model, x, t, workspace=workspace)
             n_batches += 1
             if not np.isfinite(batch_loss):
                 raise TrainingDiverged(f"training diverged: batch loss {batch_loss} "

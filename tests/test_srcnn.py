@@ -1,4 +1,6 @@
+import ast
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -32,12 +34,13 @@ def random_layer(rng, out_c, in_c, k, scale=0.5):
     )
 
 
-def micro_model(rng, scale=0.5):
+def micro_model(rng, scale=0.5, channels=(3, 2)):
     """Full three-layer topology at reduced width, well-scaled weights."""
+    c1, c2 = channels
     return SrcnnModel(
-        layer1=random_layer(rng, 3, 1, 9, scale),
-        layer2=random_layer(rng, 2, 3, 1, scale),
-        layer3=random_layer(rng, 1, 2, 5, scale),
+        layer1=random_layer(rng, c1, 1, 9, scale),
+        layer2=random_layer(rng, c2, c1, 1, scale),
+        layer3=random_layer(rng, 1, c2, 5, scale),
         lrelu_slope=0.01,
     )
 
@@ -75,17 +78,21 @@ class TestConv2d:
         assert y[2, 2] == 9.0
         assert y[0, 0] == 4.0  # corner sees only 4 covered taps
 
+    # N = 3 as well: the batch is folded into the GEMM columns, and padding
+    # or a tap shift-add that leaked between images would show
     def test_matches_brute_force(self):
-        rng = np.random.default_rng(1)
-        x = rng.normal(size=(1, 2, 5, 5))
-        layer = random_layer(rng, 3, 2, 3)
-        assert np.abs(conv2d(x, layer) - brute_force_conv(x, layer)).max() <= 1e-12
+        for n in (1, 3):
+            rng = np.random.default_rng(1)
+            x = rng.normal(size=(n, 2, 5, 5))
+            layer = random_layer(rng, 3, 2, 3)
+            assert np.abs(conv2d(x, layer) - brute_force_conv(x, layer)).max() <= 1e-12
 
     def test_many_channel_path_matches_brute_force(self):
-        rng = np.random.default_rng(2)
-        x = rng.normal(size=(2, 4, 6, 7))
-        layer = random_layer(rng, 2, 4, 5)
-        assert np.abs(conv2d(x, layer) - brute_force_conv(x, layer)).max() <= 1e-12
+        for n in (2, 3):
+            rng = np.random.default_rng(2)
+            x = rng.normal(size=(n, 4, 6, 7))
+            layer = random_layer(rng, 2, 4, 5)
+            assert np.abs(conv2d(x, layer) - brute_force_conv(x, layer)).max() <= 1e-12
 
     def test_channel_mismatch(self):
         layer = ConvLayer(kernel=np.ones((1, 2, 3, 3)), bias=np.zeros(1))
@@ -122,15 +129,16 @@ class TestConvParamGrads:
     # plain GEMM for k == 1
     @pytest.mark.parametrize("out_c,in_c,k", [(3, 2, 3), (2, 4, 5), (1, 3, 5), (2, 3, 1)])
     def test_matches_brute_force(self, out_c, in_c, k):
-        rng = np.random.default_rng(12)
-        x = rng.normal(size=(2, in_c, 6, 7))
-        g = rng.normal(size=(2, out_c, 6, 7))
-        layer = random_layer(rng, out_c, in_c, k)
-        dw, db = srcnn._conv_param_grads(x, g, layer)
-        ref_dw, ref_db = brute_force_param_grads(x, g, k)
-        assert dw.shape == layer.kernel.shape
-        assert np.abs(dw - ref_dw).max() <= 1e-12
-        assert np.abs(db - ref_db).max() <= 1e-12
+        for n in (2, 3):
+            rng = np.random.default_rng(12)
+            x = rng.normal(size=(n, in_c, 6, 7))
+            g = rng.normal(size=(n, out_c, 6, 7))
+            layer = random_layer(rng, out_c, in_c, k)
+            dw, db = srcnn._conv_param_grads(x, g, layer)
+            ref_dw, ref_db = brute_force_param_grads(x, g, k)
+            assert dw.shape == layer.kernel.shape
+            assert np.abs(dw - ref_dw).max() <= 1e-12
+            assert np.abs(db - ref_db).max() <= 1e-12
 
 
 class TestLrelu:
@@ -219,27 +227,44 @@ class TestBackward:
             np.testing.assert_array_equal(g, 0.0)
 
     def test_finite_difference_oracle(self):
-        rng = np.random.default_rng(9)
+        # with channels (3, 1) conv3 has in == out, so its dW expands x, not dL/dy
+        for channels in ((3, 2), (3, 1)):
+            rng = np.random.default_rng(9)
+            m = micro_model(rng, channels=channels)
+            x = rng.uniform(0.2, 0.8, (1, 1, 8, 8))
+            target = rng.uniform(0.2, 0.8, (1, 1, 8, 8))
+            grads = loss_and_grads(m, x, target)[1]
+            params = m.parameters()
+            h = 1e-4
+            for pi, (p, g) in enumerate(zip(params, grads)):
+                flat = p.ravel()
+                gf = g.ravel()
+                for j in range(flat.size):
+                    orig = flat[j]
+
+                    def loss_at(v):
+                        q = [arr.copy() for arr in params]
+                        q[pi].ravel()[j] = v
+                        return mse_loss(forward(m.with_parameters(q), x), target)
+
+                    num = (loss_at(orig + h) - loss_at(orig - h)) / (2 * h)
+                    rel = abs(num - gf[j]) / max(abs(num), abs(gf[j]), 1e-8)
+                    assert rel <= 1e-5
+
+    def test_batch_equals_mean_of_per_image_calls(self):
+        # the finite-difference oracle runs at N = 1; with N > 1 and H != W a
+        # folded im2col or tap shift-add that leaked between images, or mixed
+        # up rows and columns, would break this decomposition of the mean loss
+        rng = np.random.default_rng(25)
         m = micro_model(rng)
-        x = rng.uniform(0.2, 0.8, (1, 1, 8, 8))
-        target = rng.uniform(0.2, 0.8, (1, 1, 8, 8))
-        grads = loss_and_grads(m, x, target)[1]
-        params = m.parameters()
-        h = 1e-4
-        for pi, (p, g) in enumerate(zip(params, grads)):
-            flat = p.ravel()
-            gf = g.ravel()
-            for j in range(flat.size):
-                orig = flat[j]
-
-                def loss_at(v):
-                    q = [arr.copy() for arr in params]
-                    q[pi].ravel()[j] = v
-                    return mse_loss(forward(m.with_parameters(q), x), target)
-
-                num = (loss_at(orig + h) - loss_at(orig - h)) / (2 * h)
-                rel = abs(num - gf[j]) / max(abs(num), abs(gf[j]), 1e-8)
-                assert rel <= 1e-5
+        x = rng.uniform(0.2, 0.8, (3, 1, 9, 11))
+        target = rng.uniform(0.2, 0.8, (3, 1, 9, 11))
+        loss, grads = loss_and_grads(m, x, target)
+        per_image = [loss_and_grads(m, x[i : i + 1], target[i : i + 1]) for i in range(3)]
+        assert abs(loss - sum(l for l, _ in per_image) / 3) <= 1e-12
+        for pi, g in enumerate(grads):
+            mean = sum(gs[pi] for _, gs in per_image) / 3
+            assert np.abs(g - mean).max() <= 1e-12
 
     def test_final_bias_gradient_constant_residual(self):
         rng = np.random.default_rng(10)
@@ -317,6 +342,74 @@ class TestTrain:
         np.testing.assert_array_equal(np.array(h1.rows), np.array(h2.rows))
         for a, b in zip(m1.parameters(), m2.parameters()):
             np.testing.assert_array_equal(a, b)
+
+    def test_reused_workspace_matches_fresh_arrays(self, monkeypatch):
+        # train reuses one workspace across its steps; 5 patches at batch size
+        # 2 give batches of 2, 2 and 1, so the batch shape changes under it
+        real = srcnn.loss_and_grads
+        steps = []
+
+        def recording(model, x, t, **kwargs):
+            loss, grads = real(model, x, t, **kwargs)
+            steps.append(([p.copy() for p in model.parameters()], x.copy(), t.copy(),
+                          loss, [g.copy() for g in grads]))
+            return loss, grads
+
+        monkeypatch.setattr(srcnn, "loss_and_grads", recording)
+        pairs = tiny_pairs(np.random.default_rng(26), 1)
+        cfg = TrainConfig(epochs=2, patch_size=8, patches_per_image=5, batch_size=2,
+                          learning_rate=1e-3, seed=5)
+        train(pairs, pairs, cfg)
+        assert [len(step[1]) for step in steps] == [2, 2, 1, 2, 2, 1]
+
+        # the same Adam steps on fresh arrays
+        model = init_model(cfg.seed)
+        params = model.parameters()
+        state = AdamState.zeros_like(params)
+        for used_params, x, t, loss, grads in steps:
+            for p, q in zip(used_params, params):
+                np.testing.assert_allclose(p, q, rtol=1e-6, atol=1e-9)
+            ref_loss, ref_grads = real(model.with_parameters(params), x, t)
+            assert abs(loss - ref_loss) <= 1e-6 * ref_loss
+            for g, r in zip(grads, ref_grads):
+                np.testing.assert_allclose(g, r, rtol=1e-5, atol=1e-6 * np.abs(r).max())
+            params, state = adam_step(params, ref_grads, state, cfg)
+
+    def test_step_calls_each_traced_conv_once(self, monkeypatch):
+        # perfbench's tracer names its per-layer figures by the (in, out, k)
+        # of the conv2d calls inside loss_and_grads, and patches conv2d,
+        # loss_and_grads and adam_step; a step that stopped calling one of
+        # them would drop its figure from every trace
+        tracing = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+        conv_names = next(
+            ast.literal_eval(node.value) for node in ast.parse(tracing.read_text()).body
+            if isinstance(node, ast.Assign) and getattr(node.targets[0], "id", "") == "CONV_NAMES"
+        )
+
+        calls = {"loss_and_grads": 0, "adam_step": 0}
+        conv_keys = []
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        real_conv = srcnn.conv2d
+
+        def conv(x, layer, **kwargs):
+            if calls["loss_and_grads"] > calls["adam_step"]:  # inside the step
+                conv_keys.append((layer.in_channels, layer.out_channels, layer.k))
+            return real_conv(x, layer, **kwargs)
+
+        for name in calls:
+            monkeypatch.setattr(srcnn, name, counting(name, getattr(srcnn, name)))
+        monkeypatch.setattr(srcnn, "conv2d", conv)
+        pairs = tiny_pairs(np.random.default_rng(27), 1)
+        train(pairs, pairs, TrainConfig(epochs=1, patch_size=8, patches_per_image=2,
+                                        batch_size=2))
+        assert calls == {"loss_and_grads": 1, "adam_step": 1}
+        assert sorted(conv_keys) == sorted(conv_names)
 
     def test_empty_dataset_rejected(self):
         with pytest.raises(ValueError):
