@@ -172,7 +172,8 @@ def conv2d(
         if cols is None:
             cols = _fold(x) if k == 1 else _im2col(x, k)
         y = np.matmul(layer.kernel.reshape(o, -1), cols, out=out)
-        y = np.add(y, layer.bias[:, None], out=out)
+        if layer.bias.any():  # skips the zero bias of loss_and_grads' dX layers
+            y = np.add(y, layer.bias[:, None], out=out)
     else:
         wt = layer.kernel.transpose(0, 2, 3, 1).reshape(o * k * k, c)
         taps = np.matmul(wt, _fold(x)).reshape(o, k, k, n, h, w)
@@ -189,11 +190,12 @@ def conv2d(
     return y.reshape(o, n, h, w).transpose(1, 0, 2, 3)
 
 
-def lrelu(x: np.ndarray, slope: float) -> np.ndarray:
+def lrelu(x: np.ndarray, slope: float, *, out: np.ndarray | None = None) -> np.ndarray:
     """max(x, slope * x): two branch-free passes. For 0 <= slope <= 1 this
     equals np.where(x >= 0, x, slope * x) bit for bit, signed zeros and NaN
-    included, except at +inf with slope 0, where inf * 0 makes it NaN."""
-    y = x * np.asarray(slope, dtype=x.dtype)
+    included, except at +inf with slope 0, where inf * 0 makes it NaN.
+    out, shaped as x, takes the slope * x temporary and then the result."""
+    y = np.multiply(x, np.asarray(slope, dtype=x.dtype), out=out)
     return np.maximum(x, y, out=y)
 
 
@@ -206,11 +208,32 @@ def _lrelu_factor(z: np.ndarray, slope: float, out: np.ndarray) -> np.ndarray:
     return np.maximum(out, out.dtype.type(slope), out=out)
 
 
-def forward(model: SrcnnModel, lr_batch: np.ndarray) -> np.ndarray:
-    """conv1 -> lrelu -> conv2 -> lrelu -> conv3; output is not clamped."""
-    a = lrelu(conv2d(lr_batch, model.layer1), model.lrelu_slope)
-    a = lrelu(conv2d(a, model.layer2), model.lrelu_slope)
-    return conv2d(a, model.layer3)
+def forward(
+    model: SrcnnModel, lr_batch: np.ndarray, *, workspace: _Workspace | None = None
+) -> np.ndarray:
+    """conv1 -> lrelu -> conv2 -> lrelu -> conv3; output is not clamped.
+
+    Three buffers of the workspace (fresh ones by default) take turns, each
+    overwritten once its contents are dead: A holds im2col(x), then a1, then
+    a2; B holds z1, then z2; C holds the result, which stays valid until the
+    workspace is next used.
+    """
+    ws = _Workspace() if workspace is None else workspace
+    l1, l2, l3 = model.layers
+    n, _, h, w = lr_batch.shape
+    dtype, slope = lr_batch.dtype, model.lrelu_slope
+
+    def act(name: str, c: int) -> np.ndarray:
+        # laid out as conv2d returns its result
+        return ws.get(name, (c, n, h, w), dtype).transpose(1, 0, 2, 3)
+
+    cols = ws.get("A", (l1.in_channels * l1.k**2, n * h * w), dtype)
+    z = conv2d(lr_batch, l1, cols=_im2col(lr_batch, l1.k, out=cols),
+               out=act("B", l1.out_channels))
+    a = lrelu(z, slope, out=act("A", l1.out_channels))
+    z = conv2d(a, l2, out=act("B", l2.out_channels))
+    a = lrelu(z, slope, out=act("A", l2.out_channels))
+    return conv2d(a, l3, out=act("C", l3.out_channels))
 
 
 def mse_loss(pred: np.ndarray, target: np.ndarray) -> float:
@@ -262,11 +285,12 @@ def _conv_param_grads(
 
 
 class _Workspace:
-    """Named scratch arrays that one train call reuses across its steps.
+    """Named scratch arrays that one train call reuses across its steps, and
+    one _forward_frame call across its bands.
 
     get returns the leading elements of the named array, which grows when a
-    larger shape is asked for, so a short last batch reuses the buffers. A
-    workspace belongs to one call: sweep cells train on threads.
+    larger shape is asked for, so a short last batch or band reuses the
+    buffers. A workspace belongs to one call: sweep cells run on threads.
     """
 
     def __init__(self) -> None:
@@ -274,9 +298,11 @@ class _Workspace:
 
     def get(self, name: str, shape: tuple[int, ...], dtype: np.dtype) -> np.ndarray:
         size = int(np.prod(shape))
-        a = self._arrays.get(name)
+        a = self._arrays.pop(name, None)
         if a is None or a.size < size or a.dtype != dtype:
-            a = self._arrays[name] = np.empty(size, dtype)
+            del a  # free the old array before its successor is allocated
+            a = np.empty(size, dtype)
+        self._arrays[name] = a
         return a[:size].reshape(shape)
 
 
@@ -515,16 +541,17 @@ def _forward_frame(model: SrcnnModel, x: np.ndarray) -> np.ndarray:
     Each band is extended by a halo of the network's receptive-field radius
     on both sides (overlap-tile, Ronneberger et al. 2015), so its interior
     rows equal those of the full-frame forward pass while activation memory
-    grows with the band, not the frame.
+    grows with the band, not the frame. Every band runs in one workspace.
     """
     h, w = x.shape
     halo = sum((layer.k - 1) // 2 for layer in model.layers)
     band = max(1, _BAND_PIXELS // w)
     out = np.empty((h, w))
+    ws = _Workspace()
     for top in range(0, h, band):
         bottom = min(top + band, h)
         lo, hi = max(top - halo, 0), min(bottom + halo, h)
-        pred = forward(model, x[None, None, lo:hi])[0, 0]
+        pred = forward(model, x[None, None, lo:hi], workspace=ws)[0, 0]
         out[top:bottom] = pred[top - lo : bottom - lo]
     return out
 

@@ -66,6 +66,22 @@ def brute_force_conv(x, layer):
     return y
 
 
+def fresh_forward(m, x):
+    """forward composed from fresh arrays: the reference for its workspace."""
+    a = lrelu(conv2d(x, m.layer1), m.lrelu_slope)
+    a = lrelu(conv2d(a, m.layer2), m.lrelu_slope)
+    return conv2d(a, m.layer3)
+
+
+def traced_conv_names():
+    """perfbench's CONV_NAMES, read from tracing.py without importing it."""
+    tracing = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    return next(
+        ast.literal_eval(node.value) for node in ast.parse(tracing.read_text()).body
+        if isinstance(node, ast.Assign) and getattr(node.targets[0], "id", "") == "CONV_NAMES"
+    )
+
+
 class TestConv2d:
     def test_one_by_one_identity(self):
         layer = ConvLayer(kernel=np.ones((1, 1, 1, 1)), bias=np.zeros(1))
@@ -171,6 +187,14 @@ class TestLrelu:
         assert got.dtype == dtype
         np.testing.assert_array_equal(got.view(bits), expected.view(bits))
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_out_matches_fresh_result(self, dtype):
+        x = np.random.default_rng(5).normal(size=(2, 3, 4, 5)).astype(dtype)
+        buf = np.full_like(x, np.nan)
+        got = lrelu(x, 0.01, out=buf)
+        assert got is buf
+        np.testing.assert_array_equal(got, lrelu(x, 0.01), strict=True)
+
     @pytest.mark.parametrize("slope", [-0.1, 1.5, float("nan")])
     def test_slope_outside_unit_interval_rejected(self, slope):
         m = init_model(0, channels=(2, 2))
@@ -198,6 +222,19 @@ class TestForward:
         a2 = lrelu(brute_force_conv(a1, m.layer2), m.lrelu_slope)
         expected = brute_force_conv(a2, m.layer3)
         assert np.abs(forward(m, x) - expected).max() <= 1e-10
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_reused_workspace_matches_fresh_arrays(self, dtype):
+        # large -> small -> large, so a stale or mis-sized buffer shows
+        rng = np.random.default_rng(6)
+        m = micro_model(rng, scale=0.1)
+        m = m.with_parameters([p.astype(dtype) for p in m.parameters()])
+        ws = srcnn._Workspace()
+        for shape in [(2, 1, 13, 11), (1, 1, 5, 7), (2, 1, 11, 13)]:
+            x = rng.uniform(0, 1, shape).astype(dtype)
+            got = forward(m, x, workspace=ws)
+            np.testing.assert_array_equal(got, fresh_forward(m, x), strict=True)
+            np.testing.assert_array_equal(got, forward(m, x), strict=True)
 
 
 class TestMseLoss:
@@ -380,12 +417,7 @@ class TestTrain:
         # of the conv2d calls inside loss_and_grads, and patches conv2d,
         # loss_and_grads and adam_step; a step that stopped calling one of
         # them would drop its figure from every trace
-        tracing = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
-        conv_names = next(
-            ast.literal_eval(node.value) for node in ast.parse(tracing.read_text()).body
-            if isinstance(node, ast.Assign) and getattr(node.targets[0], "id", "") == "CONV_NAMES"
-        )
-
+        conv_names = traced_conv_names()
         calls = {"loss_and_grads": 0, "adam_step": 0}
         conv_keys = []
 
@@ -489,6 +521,77 @@ class TestInfer:
         hr = Image(rng.uniform(0, 1, (height, width)))
         expected_val = mse_loss(forward(m, x), hr.data.astype(dtype)[None, None])
         assert abs(srcnn._validation_mse(m, [(lr, hr)], 0) - expected_val) <= tol
+
+    @pytest.mark.parametrize("height, band_rows", [
+        (40, 8),  # five bands
+        (37, 8),  # last band (5 rows) shorter than the halo (6 rows)
+        (4, 2),  # frame shorter than the halo
+    ])
+    def test_banded_matches_fresh_band_loop(self, monkeypatch, height, band_rows):
+        width, halo = 24, 6
+        monkeypatch.setattr(srcnn, "_BAND_PIXELS", band_rows * width)
+        rng = np.random.default_rng(24)
+        m = micro_model(rng, scale=0.1)
+        m = m.with_parameters([p.astype(np.float32) for p in m.parameters()])
+        lr = Image(rng.uniform(0.2, 0.8, (height, width)))
+        x = lr.data.astype(np.float32)
+        expected = np.empty((height, width))
+        for top in range(0, height, band_rows):
+            bottom = min(top + band_rows, height)
+            lo, hi = max(top - halo, 0), min(bottom + halo, height)
+            pred = fresh_forward(m, x[None, None, lo:hi])[0, 0]
+            expected[top:bottom] = pred[top - lo : bottom - lo]
+        np.testing.assert_array_equal(infer(m, lr).data, np.clip(expected, 0, 1))
+
+    def test_bands_reuse_one_workspace(self, monkeypatch):
+        allocations = 0
+
+        class Counting(srcnn._Workspace):
+            def get(self, name, shape, dtype):
+                nonlocal allocations
+                before = self._arrays.get(name)
+                a = super().get(name, shape, dtype)
+                allocations += self._arrays[name] is not before
+                return a
+
+        monkeypatch.setattr(srcnn, "_Workspace", Counting)
+        monkeypatch.setattr(srcnn, "_BAND_PIXELS", 8 * 16)  # 8-row bands
+        m = micro_model(np.random.default_rng(25), scale=0.1)
+        counts = []
+        for bands in (3, 8):
+            allocations = 0
+            infer(m, Image(np.random.default_rng(bands).uniform(0, 1, (8 * bands, 16))))
+            counts.append(allocations)
+        assert 0 < counts[1] <= counts[0]
+
+    def test_bands_call_each_traced_forward_layer(self, monkeypatch):
+        # perfbench's tracer patches forward, lrelu and conv2d in the module
+        # and names the forward convs by (in, out, k); a band loop that
+        # bypassed them would drop srcnn.val_forward_s, srcnn.lrelu_s and
+        # the conv*.fwd_s figures from every trace
+        forward_keys = [k for k, v in traced_conv_names().items() if v.endswith(".fwd")]
+        calls = {"forward": 0, "lrelu": 0}
+        conv_keys = []
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        real_conv = srcnn.conv2d
+
+        def conv(x, layer, **kwargs):
+            conv_keys.append((layer.in_channels, layer.out_channels, layer.k))
+            return real_conv(x, layer, **kwargs)
+
+        for name in calls:
+            monkeypatch.setattr(srcnn, name, counting(name, getattr(srcnn, name)))
+        monkeypatch.setattr(srcnn, "conv2d", conv)
+        monkeypatch.setattr(srcnn, "_BAND_PIXELS", 8 * 16)  # three bands
+        infer(init_model(0), Image(np.random.default_rng(26).uniform(0, 1, (24, 16))))
+        assert calls == {"forward": 3, "lrelu": 6}
+        assert sorted(conv_keys) == sorted(forward_keys * 3)
 
     def test_tiled_inference_matches_full_frame(self):
         rng = np.random.default_rng(17)
