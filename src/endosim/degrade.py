@@ -12,7 +12,7 @@ are derived through the configured pixel size (2 um by default).
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
@@ -36,6 +36,8 @@ class DegradationConfig:
     max_offset_um: float = 0.0
 
     def __post_init__(self) -> None:
+        if not np.isfinite(astuple(self)).all():
+            raise ValueError("probe lengths must be finite")
         if self.pixel_size_um <= 0:
             raise ValueError("pixel size must be positive")
         if self.fiber_diameter_um < self.pixel_size_um:

@@ -1,5 +1,5 @@
 """Experiment orchestration: degradation parameter sweeps, line profiles
-and per-image comparison reports.
+and per-image comparison scores.
 
 A sweep varies one probe parameter at a time (offset axis first, then
 inter-fiber distance, then fiber diameter) with the other two held at a
@@ -72,6 +72,8 @@ class SweepConfig:
             raise ValueError("need at least one phantom spec")
         if min(self.train_count, self.val_count, self.test_count) < 1:
             raise ValueError("dataset counts must be >= 1")
+        if any(not isinstance(getattr(self, v), (tuple, list)) for _, v, _ in _AXES):
+            raise ValueError("sweep axis values must be lists of numbers")
 
     def cells(self) -> list["SweepCell"]:
         """Grid enumeration: offset axis, then s axis, then m axis."""
@@ -83,7 +85,7 @@ class SweepConfig:
             for cell_idx, value in enumerate(getattr(self, values)):
                 try:
                     cfg = DegradationConfig(**{**baseline, field: value})
-                except ValueError as exc:
+                except (TypeError, ValueError) as exc:
                     raise ValueError(
                         f"invalid sweep cell {axis}[{cell_idx}]={value}: {exc}"
                     ) from exc
@@ -155,15 +157,11 @@ def _run_cell(config: SweepConfig, cell: SweepCell, out: Path | None) -> ResultR
         train_pairs, val_pairs, replace(config.train_config, seed=train_seed))
     train_seconds = time.monotonic() - t0
 
-    scores: dict[str, list[float]] = {
-        "psnr_lr": [], "psnr_sr": [], "ssim_lr": [], "ssim_sr": []}
-    sample: tuple[Image, Image, Image] | None = None
+    reports: list[CompareReport] = []
     for lr_img, hr_img in test_pairs:
         sr_img = infer(model, lr_img)
-        for tag, img in (("lr", lr_img), ("sr", sr_img)):
-            scores[f"psnr_{tag}"].append(psnr(hr_img, img))
-            scores[f"ssim_{tag}"].append(ssim(hr_img, img))
-        if sample is None:
+        reports.append(compare_report(hr_img, lr_img, sr_img))
+        if len(reports) == 1:
             sample = (hr_img, lr_img, sr_img)
 
     if out is not None:
@@ -178,8 +176,8 @@ def _run_cell(config: SweepConfig, cell: SweepCell, out: Path | None) -> ResultR
 
     stats = {}
     with np.errstate(invalid="ignore"):
-        for name, values in scores.items():
-            arr = np.asarray(values, dtype=np.float64)
+        for name in (f.name for f in fields(CompareReport)):
+            arr = np.asarray([getattr(r, name) for r in reports], dtype=np.float64)
             stats[f"mean_{name}"] = float(np.mean(arr))
             stats[f"std_{name}"] = float(np.std(arr, ddof=1)) if len(arr) > 1 else 0.0
     d = cell.degradation
@@ -291,14 +289,22 @@ def run_sweep(
 _JSON_KEYS = {"train_config": "train"}
 
 
-def _json_kwargs(cls: type, doc: dict, what: str) -> dict:
-    """doc as keyword arguments for the dataclass cls, with JSON lists as
-    tuples; a key that names no field of cls is rejected."""
+def _from_json(cls: type, doc: dict, what: str, **nested):
+    """Build the dataclass cls from the JSON object doc, with JSON lists as
+    tuples and the already built nested configs in place of their entries.
+    A key that names no field of cls, or a TypeError from cls (a value of
+    the wrong type), becomes a ValueError naming what."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"{what} must be a JSON object")
     names = {_JSON_KEYS.get(f.name, f.name): f.name for f in fields(cls)}
     unknown = set(doc) - set(names)
     if unknown:
         raise ValueError(f"unknown {what} keys: {sorted(unknown)}")
-    return {names[k]: tuple(v) if isinstance(v, list) else v for k, v in doc.items()}
+    kwargs = {names[k]: tuple(v) if isinstance(v, list) else v for k, v in doc.items()}
+    try:
+        return cls(**{**kwargs, **nested})
+    except TypeError as exc:
+        raise ValueError(f"invalid {what}: {exc}") from exc
 
 
 def sweep_config_from_json(doc: dict) -> SweepConfig:
@@ -306,16 +312,13 @@ def sweep_config_from_json(doc: dict) -> SweepConfig:
     rejected at every level."""
     if not isinstance(doc, dict):
         raise ValueError("sweep config must be a JSON object")
-    kwargs = _json_kwargs(SweepConfig, doc, "sweep config")
-    if "phantom_specs" not in kwargs:
-        raise ValueError("sweep config requires phantom_specs")
-    kwargs["phantom_specs"] = tuple(
-        PhantomSpec(**_json_kwargs(PhantomSpec, entry, "phantom spec"))
-        for entry in kwargs["phantom_specs"]
-    )
-    kwargs["train_config"] = TrainConfig(
-        **_json_kwargs(TrainConfig, doc.get("train", {}), "train config"))
-    return SweepConfig(**kwargs)
+    specs = doc.get("phantom_specs")
+    if not isinstance(specs, list):
+        raise ValueError("sweep config requires phantom_specs, a list of objects")
+    return _from_json(
+        SweepConfig, doc, "sweep config",
+        phantom_specs=tuple(_from_json(PhantomSpec, e, "phantom spec") for e in specs),
+        train_config=_from_json(TrainConfig, doc.get("train", {}), "train config"))
 
 
 def _atomic_write(path: str | Path, payload: bytes) -> None:
@@ -358,25 +361,9 @@ class CompareReport:
     psnr_sr: float
     ssim_sr: float
 
-    @property
-    def delta_psnr(self) -> float:
-        return self.psnr_sr - self.psnr_lr
-
-    @property
-    def delta_ssim(self) -> float:
-        return self.ssim_sr - self.ssim_lr
-
-    def csv_line(self) -> str:
-        header = "psnr_lr,ssim_lr,psnr_sr,ssim_sr,delta_psnr,delta_ssim"
-        values = ",".join(
-            f"{v:.9g}" for v in (self.psnr_lr, self.ssim_lr, self.psnr_sr,
-                                 self.ssim_sr, self.delta_psnr, self.delta_ssim)
-        )
-        return f"{header}\n{values}\n"
-
 
 def compare_report(hr: Image, lr: Image, sr: Image) -> CompareReport:
-    """PSNR/SSIM of LR and SR against the HR reference, with deltas."""
+    """PSNR/SSIM of LR and SR against the HR reference."""
     return CompareReport(
         psnr_lr=psnr(hr, lr),
         ssim_lr=ssim(hr, lr),

@@ -1,4 +1,4 @@
-"""Grayscale image container, binary PGM codec and cropping primitives.
+"""Grayscale image container and binary PGM codec.
 
 Intensities are kept as floats in [0, 1] internally; 8-bit and 16-bit
 portable graymaps are accepted on disk. 16-bit samples are big-endian per
@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-__all__ = ["Image", "ImageError", "load_pgm", "save_pgm", "crop", "random_crop"]
+__all__ = ["Image", "ImageError", "load_pgm", "save_pgm"]
 
 
 class ImageError(ValueError):
@@ -113,22 +113,3 @@ def save_pgm(image: Image, maxval: int = 65535) -> bytes:
     header = f"P5\n{image.width} {image.height}\n{maxval}\n".encode("ascii")
     return header + samples.tobytes()
 
-
-def crop(image: Image, x0: int, y0: int, w: int, h: int) -> Image:
-    """Extract the w x h rectangle whose top-left corner is (x0, y0)."""
-    if w < 1 or h < 1 or x0 < 0 or y0 < 0:
-        raise ImageError(f"invalid crop rectangle ({x0},{y0},{w},{h})")
-    if x0 + w > image.width or y0 + h > image.height:
-        raise ImageError(
-            f"crop ({x0},{y0},{w},{h}) exceeds image {image.width}x{image.height}"
-        )
-    return Image(image.data[y0 : y0 + h, x0 : x0 + w])
-
-
-def random_crop(image: Image, size: int, rng: np.random.Generator) -> Image:
-    """Square crop at an offset drawn uniformly over all valid positions."""
-    if size > min(image.width, image.height):
-        raise ImageError(f"crop size {size} exceeds image {image.width}x{image.height}")
-    x0 = int(rng.integers(0, image.width - size + 1))
-    y0 = int(rng.integers(0, image.height - size + 1))
-    return crop(image, x0, y0, size, size)

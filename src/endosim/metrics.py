@@ -34,14 +34,14 @@ class SsimConfig:
             raise ValueError("sigma, k1 and k2 must be positive")
 
 
-def psnr(reference: Image, test: Image, peak: float = 1.0) -> float:
-    """10*log10(peak^2 / MSE) in dB; inf when the images are identical."""
+def psnr(reference: Image, test: Image) -> float:
+    """10*log10(1 / MSE) in dB for a peak of 1; inf for identical images."""
     if reference.data.shape != test.data.shape:
         raise ValueError("psnr requires equal image dimensions")
     mse = float(np.mean((reference.data - test.data) ** 2))
     if mse == 0.0:
         return math.inf
-    return 10.0 * math.log10(peak * peak / mse)
+    return 10.0 * math.log10(1.0 / mse)
 
 
 def _window_1d(cfg: SsimConfig) -> np.ndarray:

@@ -7,13 +7,13 @@ knob separating the two diagnostic classes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
 from .image import Image
 
-__all__ = ["PhantomSpec", "generate_phantom", "generate_dataset"]
+__all__ = ["PhantomSpec", "generate_phantom"]
 
 NEOPLASTIC = "neoplastic"
 NON_NEOPLASTIC = "non_neoplastic"
@@ -34,6 +34,10 @@ class PhantomSpec:
     def __post_init__(self) -> None:
         r_min, r_max = self.nucleus_radius_px
         i_lo, i_hi = self.nucleus_intensity
+        # every field but the label is a number or a pair of numbers; unlike
+        # np.isfinite, abs() < inf takes an int too large for a float (a width)
+        if not all(abs(v) < np.inf for v in np.hstack(astuple(self)[:-1])):
+            raise ValueError("phantom spec values must be finite")
         if self.width < 1 or self.height < 1:
             raise ValueError("canvas must be at least 1x1")
         if not (r_min >= 1.0 and r_max >= r_min):
@@ -104,19 +108,3 @@ def generate_phantom(
     # stacked fluorescence saturates rather than adding: combine by maximum
     data = np.clip(np.maximum(background, nuclei), 0.0, 1.0)
     return Image(data), centers
-
-
-def generate_dataset(
-    specs: list[PhantomSpec], count_per_spec: int, base_seed: int
-) -> list[tuple[Image, str]]:
-    """Enumerate phantoms deterministically; item k uses seed base_seed + k."""
-    if count_per_spec < 1:
-        raise ValueError("count_per_spec must be >= 1")
-    items: list[tuple[Image, str]] = []
-    k = 0
-    for spec in specs:
-        for _ in range(count_per_spec):
-            img, _centers = generate_phantom(spec, base_seed + k)
-            items.append((img, spec.label))
-            k += 1
-    return items

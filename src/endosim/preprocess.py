@@ -26,8 +26,8 @@ class PreprocessConfig:
     clahe_bins: int = 256
 
     def __post_init__(self) -> None:
-        if self.gaussian_sigma_px <= 0:
-            raise ValueError("sigma must be positive")
+        if not 0.0 < self.gaussian_sigma_px < np.inf:
+            raise ValueError("sigma must be positive and finite")
         if not (0.0 < self.clahe_clip_limit <= 1.0):
             raise ValueError("clip limit must lie in (0, 1]")
         if min(self.clahe_tiles) < 1:

@@ -15,6 +15,8 @@ from dataclasses import dataclass
 
 from scipy import special, stats
 
+from .harness import _csv_text
+
 __all__ = [
     "ReadRecord",
     "DiagnosticSummary",
@@ -273,30 +275,21 @@ def _fmt(x: float) -> str:
 
 
 def report_csv_tables(report: dict) -> dict[str, str]:
-    """Serialize a study report as named CSV tables."""
-    out: dict[str, str] = {}
-
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(["reader_id", "modality", "stratum", "tp", "fp", "fn", "tn",
-                "sensitivity", "specificity", "accuracy"])
-    for (reader, modality, stratum), s in sorted(report["per_reader"].items()):
-        w.writerow([reader, modality, stratum, s.tp, s.fp, s.fn, s.tn,
-                    _fmt(s.sensitivity), _fmt(s.specificity), _fmt(s.accuracy)])
-    out["per_reader.csv"] = buf.getvalue()
-
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(["reader_id", "modality", "high_confidence_rate"])
-    for (reader, modality), rate in sorted(report["confidence_rates"].items()):
-        w.writerow([reader, modality, _fmt(rate)])
-    out["confidence_rates.csv"] = buf.getvalue()
-
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(["stratum", "metric", "t", "p", "df", "degenerate_variance"])
-    for (stratum, metric), res in sorted(report["tests"].items()):
-        w.writerow([stratum, metric, _fmt(res.t), _fmt(res.p), res.df,
-                    int(res.degenerate_variance)])
-    out["t_tests.csv"] = buf.getvalue()
-    return out
+    """Serialize a study report as named CSV tables. Reader ids come from
+    the reads file and may hold commas, so rows go through CSV quoting."""
+    return {
+        "per_reader.csv": _csv_text(
+            ["reader_id", "modality", "stratum", "tp", "fp", "fn", "tn",
+             "sensitivity", "specificity", "accuracy"],
+            ([reader, modality, stratum, s.tp, s.fp, s.fn, s.tn,
+              _fmt(s.sensitivity), _fmt(s.specificity), _fmt(s.accuracy)]
+             for (reader, modality, stratum), s in sorted(report["per_reader"].items()))),
+        "confidence_rates.csv": _csv_text(
+            ["reader_id", "modality", "high_confidence_rate"],
+            ([reader, modality, _fmt(rate)]
+             for (reader, modality), rate in sorted(report["confidence_rates"].items()))),
+        "t_tests.csv": _csv_text(
+            ["stratum", "metric", "t", "p", "df", "degenerate_variance"],
+            ([stratum, metric, _fmt(res.t), _fmt(res.p), res.df, int(res.degenerate_variance)]
+             for (stratum, metric), res in sorted(report["tests"].items()))),
+    }

@@ -428,10 +428,6 @@ class TrainHistory:
     # epoch 0 is the initialized model (train loss is nan there)
     rows: list[tuple[int, float, float]] = field(default_factory=list)
 
-    @property
-    def best_validation_mse(self) -> float:
-        return min(r[2] for r in self.rows if not np.isnan(r[2]))
-
 
 class TrainingDiverged(ValueError):
     """A training or validation loss became NaN or infinite."""

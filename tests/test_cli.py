@@ -73,6 +73,23 @@ class TestPhantomDegradePipeline:
         ]
         assert samples.read_text().splitlines()[1:] == expected
 
+    def test_samples_csv_bytes(self, tmp_path):
+        # a 16-bit ramp, so every mean is exact arithmetic on a fixed frame
+        hr, samples = tmp_path / "ramp.pgm", tmp_path / "samples.csv"
+        hr.write_bytes(save_pgm(Image(np.arange(64).reshape(8, 8) / 63)))
+        assert dispatch([
+            "degrade", "--fiber-diameter", "4", "--inter-fiber-distance", "8",
+            "--max-offset", "2", "--seed", "5", "--emit-samples", str(samples),
+            str(hr), str(tmp_path / "lr.pgm"),
+        ]) == 0
+        assert samples.read_bytes() == (
+            b"tile_row,tile_col,roi_row,roi_col,dx,dy,mean\n"
+            b"0,0,2,2,1,1,0.357141222\n"
+            b"0,4,0,6,1,-1,0.166666667\n"
+            b"4,0,5,1,0,0,0.722224765\n"
+            b"4,4,5,4,-1,0,0.769840543\n"
+        )
+
     def test_deterministic_outputs(self, tmp_path):
         hr = write_phantom(tmp_path)
         a, b = tmp_path / "a.pgm", tmp_path / "b.pgm"
@@ -81,6 +98,25 @@ class TestPhantomDegradePipeline:
         assert dispatch(argv + [str(a)]) == 0
         assert dispatch(argv + [str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
+
+
+@pytest.mark.parametrize("argv", [
+    ["phantom", "--density", "inf", "OUT"],
+    ["degrade", "--max-offset", "inf", "HR", "OUT"],
+    ["degrade", "--inter-fiber-distance", "inf", "HR", "OUT"],
+    ["preprocess", "--sigma", "inf", "HR", "OUT"],
+    ["sweep", "--config", "SWEEP", "--out", "OUT"],
+])
+def test_infinite_number_is_data_error(tmp_path, capsys, argv):
+    names = {"HR": write_phantom(tmp_path, size=16), "OUT": tmp_path / "out",
+             "SWEEP": tmp_path / "sweep.json"}
+    # 1e999 parses as an infinite float
+    names["SWEEP"].write_text('{"phantom_specs": [{}], "offset_um": [1e999]}')
+    capsys.readouterr()
+    assert dispatch([str(names.get(a, a)) for a in argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not names["OUT"].exists()
 
 
 class TestPreprocessCommand:

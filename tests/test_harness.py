@@ -109,14 +109,7 @@ class TestCompareReport:
         lr = Image(np.clip(hr.data + rng.normal(0, 0.05, hr.data.shape), 0, 1))
         rep = compare_report(hr, lr, hr)
         assert math.isinf(rep.psnr_sr)
-        assert abs(rep.delta_ssim - (1.0 - ssim(hr, lr))) <= 1e-12
-
-    def test_sr_equals_lr_deltas_zero(self):
-        rng = np.random.default_rng(3)
-        hr = Image(rng.uniform(0, 1, (16, 16)))
-        lr = Image(np.clip(hr.data + 0.05, 0, 1))
-        rep = compare_report(hr, lr, lr)
-        assert rep.delta_psnr == 0.0 and rep.delta_ssim == 0.0
+        assert abs(rep.ssim_sr - 1.0) <= 1e-12 and rep.ssim_lr == ssim(hr, lr)
 
     def test_recomputation_oracle(self):
         rng = np.random.default_rng(4)
@@ -126,8 +119,6 @@ class TestCompareReport:
         rep = compare_report(hr, lr, sr)
         assert rep.psnr_lr == psnr(hr, lr)
         assert rep.ssim_sr == ssim(hr, sr)
-        line = rep.csv_line()
-        assert line.startswith("psnr_lr,ssim_lr,psnr_sr,ssim_sr")
 
 
 class TestRunSweep:
@@ -358,6 +349,24 @@ class TestSweepConfigJson:
         doc = dict(self.DOC, phantom_specs=[{"width": 64, "colour": "red"}])
         with pytest.raises(ValueError, match="colour"):
             sweep_config_from_json(doc)
+
+    @pytest.mark.parametrize("doc", [
+        {"phantom_specs": 5},
+        {"phantom_specs": [5]},
+        {"phantom_specs": [{"width": "abc"}]},
+        {"phantom_specs": [{}], "train": 5},
+        {"phantom_specs": [{}], "train": {"epochs": "3"}},
+        {"phantom_specs": [{}], "offset_um": [0, "x"]},
+        {"phantom_specs": [{}], "offset_um": 5},
+    ])
+    def test_malformed_document_is_data_error(self, tmp_path, capsys, doc):
+        config = tmp_path / "sweep.json"
+        config.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        assert dispatch(["sweep", "--config", str(config), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not out.exists()
 
 
 class TestAtomicWrite:

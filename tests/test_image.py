@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from endosim.image import Image, ImageError, crop, load_pgm, random_crop, save_pgm
+from endosim.image import Image, ImageError, load_pgm, save_pgm
 
 
 def make_pgm(width, height, maxval, samples, comment=False):
@@ -91,58 +91,3 @@ class TestSavePgm:
         img = Image(rng.integers(0, 65536, (6, 5)) / 65535.0)
         assert load_pgm(save_pgm(img, maxval=65535)) == img
 
-
-class TestCrop:
-    def test_identity(self):
-        img = Image(np.random.default_rng(0).uniform(0, 1, (4, 6)))
-        assert crop(img, 0, 0, img.width, img.height) == img
-
-    def test_single_pixel(self):
-        img = Image(np.array([[0.1, 0.2], [0.3, 0.4]]))
-        assert crop(img, 1, 1, 1, 1).data[0, 0] == 0.4
-
-    def test_out_of_bounds(self):
-        img = Image(np.zeros((2, 2)))
-        with pytest.raises(ImageError):
-            crop(img, 1, 0, img.width, 1)
-
-    def test_composition(self):
-        img = Image(np.random.default_rng(1).uniform(0, 1, (10, 12)))
-        inner = crop(crop(img, 2, 1, 8, 7), 3, 2, 4, 4)
-        assert inner == crop(img, 5, 3, 4, 4)
-
-    def test_inputs_unmodified(self):
-        data = np.random.default_rng(2).uniform(0, 1, (5, 5))
-        img = Image(data)
-        crop(img, 1, 1, 3, 3)
-        np.testing.assert_array_equal(img.data, data)
-
-
-class TestRandomCrop:
-    def test_full_size_is_whole_image(self):
-        img = Image(np.random.default_rng(5).uniform(0, 1, (4, 4)))
-        assert random_crop(img, 4, np.random.default_rng(9)) == img
-
-    def test_determinism(self):
-        img = Image(np.random.default_rng(6).uniform(0, 1, (8, 8)))
-        a = random_crop(img, 3, np.random.default_rng(42))
-        b = random_crop(img, 3, np.random.default_rng(42))
-        assert a == b
-
-    def test_too_large(self):
-        with pytest.raises(ImageError):
-            random_crop(Image(np.zeros((3, 3))), 4, np.random.default_rng(0))
-
-    def test_offset_distribution_uniform(self):
-        # 4x4 image, size-2 crop: 9 valid offsets, expect frequency 1/9
-        base = np.arange(16).reshape(4, 4) / 15.0
-        img = Image(base)
-        rng = np.random.default_rng(7)
-        counts = np.zeros((3, 3))
-        for _ in range(10_000):
-            c = random_crop(img, 2, rng)
-            v = c.data[0, 0] * 15.0
-            y0, x0 = int(round(v)) // 4, int(round(v)) % 4
-            counts[y0, x0] += 1
-        freqs = counts / 10_000
-        assert np.abs(freqs - 1 / 9).max() <= 0.02

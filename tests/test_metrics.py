@@ -47,7 +47,7 @@ class TestPsnr:
     def test_uniform_difference_exact(self):
         a = Image(np.full((16, 16), 0.5))
         b = Image(np.full((16, 16), 0.6))
-        assert abs(psnr(a, b, peak=1.0) - 20.0) <= 1e-9
+        assert abs(psnr(a, b) - 20.0) <= 1e-9
 
     def test_matches_direct_formula(self):
         rng = np.random.default_rng(1)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from endosim.phantom import PhantomSpec, generate_dataset, generate_phantom
+from endosim.phantom import PhantomSpec, generate_phantom
 
 SMALL = dict(width=64, height=64)
 
@@ -71,23 +71,3 @@ class TestGeneratePhantom:
             n_hi += int((generate_phantom(hi, seed)[0].data > threshold).sum())
         assert n_hi > n_lo
 
-
-class TestGenerateDataset:
-    def test_seed_offsetting_gives_distinct_images(self):
-        spec = PhantomSpec(**SMALL)
-        items = generate_dataset([spec], 3, base_seed=10)
-        assert len(items) == 3
-        assert items[0][0] != items[1][0] and items[1][0] != items[2][0]
-
-    def test_determinism(self):
-        spec = PhantomSpec(**SMALL)
-        a = generate_dataset([spec], 2, base_seed=4)
-        b = generate_dataset([spec], 2, base_seed=4)
-        assert all(x[0] == y[0] and x[1] == y[1] for x, y in zip(a, b))
-
-    def test_cardinality_and_labels(self):
-        neo = PhantomSpec(label="neoplastic", **SMALL)
-        non = PhantomSpec(label="non_neoplastic", nuclei_per_megapixel=100, **SMALL)
-        items = generate_dataset([neo, non], 5, base_seed=0)
-        assert len(items) == 10
-        assert [lbl for _, lbl in items] == ["neoplastic"] * 5 + ["non_neoplastic"] * 5
