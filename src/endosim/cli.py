@@ -11,13 +11,14 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 
 from . import degrade as degrade_mod
 from . import harness, metrics, phantom, preprocess, readerstats, srcnn
-from .harness import _atomic_write, _csv_text
+from .harness import _atomic_write, _build_config, _csv_text
 from .image import Image, ImageError, load_pgm, save_pgm
 
 DEFAULT_SEED = 17
@@ -49,7 +50,7 @@ def build_parser() -> _Parser:
     p.add_argument("--width", type=int, default=128)
     p.add_argument("--height", type=int, default=128)
     p.add_argument("--density", type=float, default=300.0,
-                   help="nuclei per megapixel")
+                   dest="nuclei_per_megapixel", help="nuclei per megapixel")
     p.add_argument("--label", default="neoplastic",
                    choices=["neoplastic", "non_neoplastic"])
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
@@ -58,11 +59,13 @@ def build_parser() -> _Parser:
     p = sub.add_parser("preprocess", help="Gaussian smoothing + CLAHE")
     p.set_defaults(run=_cmd_preprocess)
     pre = preprocess.PreprocessConfig
-    p.add_argument("--sigma", type=float, default=pre.gaussian_sigma_px)
-    p.add_argument("--clip-limit", type=float, default=pre.clahe_clip_limit)
+    p.add_argument("--sigma", type=float, default=pre.gaussian_sigma_px,
+                   dest="gaussian_sigma_px")
+    p.add_argument("--clip-limit", type=float, default=pre.clahe_clip_limit,
+                   dest="clahe_clip_limit")
     p.add_argument("--tiles", type=int, nargs=2, default=pre.clahe_tiles,
-                   metavar=("ROWS", "COLS"))
-    p.add_argument("--bins", type=int, default=pre.clahe_bins)
+                   metavar=("ROWS", "COLS"), dest="clahe_tiles")
+    p.add_argument("--bins", type=int, default=pre.clahe_bins, dest="clahe_bins")
     p.add_argument("input")
     p.add_argument("output")
 
@@ -70,13 +73,14 @@ def build_parser() -> _Parser:
     p.set_defaults(run=_cmd_degrade)
     deg = degrade_mod.DegradationConfig
     p.add_argument("--pixel-size", type=float, default=deg.pixel_size_um,
-                   help="um per pixel")
+                   dest="pixel_size_um", help="um per pixel")
     p.add_argument("--fiber-diameter", type=float, default=deg.fiber_diameter_um,
-                   help="m, um")
+                   dest="fiber_diameter_um", help="m, um")
     p.add_argument("--inter-fiber-distance", type=float,
-                   default=deg.inter_fiber_distance_um, help="s, um")
+                   default=deg.inter_fiber_distance_um, dest="inter_fiber_distance_um",
+                   help="s, um")
     p.add_argument("--max-offset", type=float, default=deg.max_offset_um,
-                   help="d, um")
+                   dest="max_offset_um", help="d, um")
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.add_argument("--emit-sparse", metavar="PATH",
                    help="also write the sparse acquisition image")
@@ -154,35 +158,28 @@ def _load_pairs(root: Path) -> list[tuple[Image, Image]]:
     return pairs
 
 
+def _config(cls: type, args: argparse.Namespace):
+    """cls built from the parsed flags whose dest is one of its fields."""
+    names = {f.name for f in fields(cls)}
+    return _build_config(cls, {k: v for k, v in vars(args).items() if k in names},
+                         f"{args.command} options")
+
+
 def _cmd_phantom(args: argparse.Namespace) -> int:
-    spec = phantom.PhantomSpec(
-        width=args.width, height=args.height,
-        nuclei_per_megapixel=args.density, label=args.label,
-    )
-    img, _ = phantom.generate_phantom(spec, args.seed)
+    img, _ = phantom.generate_phantom(_config(phantom.PhantomSpec, args), args.seed)
     _atomic_write(args.output, save_pgm(img))
     return EXIT_OK
 
 
 def _cmd_preprocess(args: argparse.Namespace) -> int:
-    cfg = preprocess.PreprocessConfig(
-        gaussian_sigma_px=args.sigma,
-        clahe_clip_limit=args.clip_limit,
-        clahe_tiles=tuple(args.tiles),
-        clahe_bins=args.bins,
-    )
+    cfg = _config(preprocess.PreprocessConfig, args)
     out = preprocess.preprocess(_read_image(args.input), cfg)
     _atomic_write(args.output, save_pgm(out))
     return EXIT_OK
 
 
 def _cmd_degrade(args: argparse.Namespace) -> int:
-    cfg = degrade_mod.DegradationConfig(
-        pixel_size_um=args.pixel_size,
-        fiber_diameter_um=args.fiber_diameter,
-        inter_fiber_distance_um=args.inter_fiber_distance,
-        max_offset_um=args.max_offset,
-    )
+    cfg = _config(degrade_mod.DegradationConfig, args)
     pair = degrade_mod.degrade(
         _read_image(args.input), cfg, np.random.default_rng(args.seed)
     )
@@ -203,15 +200,7 @@ def _cmd_degrade(args: argparse.Namespace) -> int:
 
 def _cmd_train(args: argparse.Namespace) -> int:
     root = Path(args.dataset)
-    cfg = srcnn.TrainConfig(
-        learning_rate=args.learning_rate,
-        epochs=args.epochs,
-        batch_size=args.batch_size,
-        patch_size=args.patch_size,
-        patches_per_image=args.patches_per_image,
-        validation_interval=args.validation_interval,
-        seed=args.seed,
-    )
+    cfg = _config(srcnn.TrainConfig, args)
     model, history = srcnn.train(
         _load_pairs(root / "train"), _load_pairs(root / "val"), cfg
     )

@@ -115,11 +115,6 @@ def grid_geometry(cfg: DegradationConfig, width: int, height: int) -> np.ndarray
     return np.stack([rows.ravel(), cols.ravel()], axis=1) * s
 
 
-def _nominal_margin(cfg: DegradationConfig) -> int:
-    # odd s_px - m_px gap biases the ROI toward the top-left corner
-    return (cfg.s_px - cfg.m_px) // 2
-
-
 def degrade(
     image: Image, cfg: DegradationConfig, rng: np.random.Generator
 ) -> DegradedPair:
@@ -137,7 +132,8 @@ def degrade(
         offsets = rng.integers(-d, d + 1, size=tiles.shape)
     else:
         offsets = np.zeros_like(tiles)
-    rois = np.clip(tiles + _nominal_margin(cfg) + offsets, 0, [h - m, w - m])
+    # odd s_px - m_px gap biases the ROI toward the top-left corner
+    rois = np.clip(tiles + (s - m) // 2 + offsets, 0, [h - m, w - m])
     src = image.data
     span = np.arange(m)
     iy = rois[:, 0, None, None] + span[:, None]  # (n, m, 1)

@@ -289,11 +289,11 @@ def run_sweep(
 _JSON_KEYS = {"train_config": "train"}
 
 
-def _from_json(cls: type, doc: dict, what: str, **nested):
-    """Build the dataclass cls from the JSON object doc, with JSON lists as
-    tuples and the already built nested configs in place of their entries.
-    A key that names no field of cls, or a TypeError from cls (a value of
-    the wrong type), becomes a ValueError naming what."""
+def _build_config(cls: type, doc: dict, what: str, **nested):
+    """Build the dataclass cls from doc, keyed by field name or _JSON_KEYS
+    entry, with lists as tuples and the already built nested configs in
+    place of their entries. An unknown key, a non-int in a field annotated
+    int, or a TypeError from cls (a wrong type) becomes a ValueError naming what."""
     if not isinstance(doc, dict):
         raise ValueError(f"{what} must be a JSON object")
     names = {_JSON_KEYS.get(f.name, f.name): f.name for f in fields(cls)}
@@ -301,6 +301,10 @@ def _from_json(cls: type, doc: dict, what: str, **nested):
     if unknown:
         raise ValueError(f"unknown {what} keys: {sorted(unknown)}")
     kwargs = {names[k]: tuple(v) if isinstance(v, list) else v for k, v in doc.items()}
+    for f in fields(cls):
+        if f.type in ("int", int) and not isinstance(kwargs.get(f.name, 0), int):
+            raise ValueError(f"invalid {what}: {f.name} must be an integer, "
+                             f"got {kwargs[f.name]!r}")
     try:
         return cls(**{**kwargs, **nested})
     except TypeError as exc:
@@ -315,10 +319,10 @@ def sweep_config_from_json(doc: dict) -> SweepConfig:
     specs = doc.get("phantom_specs")
     if not isinstance(specs, list):
         raise ValueError("sweep config requires phantom_specs, a list of objects")
-    return _from_json(
+    return _build_config(
         SweepConfig, doc, "sweep config",
-        phantom_specs=tuple(_from_json(PhantomSpec, e, "phantom spec") for e in specs),
-        train_config=_from_json(TrainConfig, doc.get("train", {}), "train config"))
+        phantom_specs=tuple(_build_config(PhantomSpec, e, "phantom spec") for e in specs),
+        train_config=_build_config(TrainConfig, doc.get("train", {}), "train config"))
 
 
 def _atomic_write(path: str | Path, payload: bytes) -> None:

@@ -1,12 +1,13 @@
 """Grayscale image container and binary PGM codec.
 
 Intensities are kept as floats in [0, 1] internally; 8-bit and 16-bit
-portable graymaps are accepted on disk. 16-bit samples are big-endian per
-the graymap convention.
+portable graymaps are read from disk, and 16-bit ones are written. 16-bit
+samples are big-endian per the graymap convention.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -53,6 +54,10 @@ class Image:
         )
 
 
+# the lookahead stops a '#' comment from backtracking into a token
+_HEADER_TOKEN = re.compile(rb"(?:\s|#[^\n\r]*(?![^\n\r]))*([^\s#]+)")
+
+
 def _tokenize_pgm_header(blob: bytes) -> tuple[list[bytes], int]:
     """Return the first 4 header tokens and the offset of the raster start.
 
@@ -62,21 +67,13 @@ def _tokenize_pgm_header(blob: bytes) -> tuple[list[bytes], int]:
     """
     tokens: list[bytes] = []
     i = 0
-    n = len(blob)
-    while len(tokens) < 4:
-        while i < n and blob[i : i + 1].isspace():
-            i += 1
-        if i < n and blob[i] == ord("#"):
-            while i < n and blob[i] not in (0x0A, 0x0D):
-                i += 1
-            continue
-        start = i
-        while i < n and not blob[i : i + 1].isspace() and blob[i] != ord("#"):
-            i += 1
-        if i == start:
+    for _ in range(4):
+        match = _HEADER_TOKEN.match(blob, i)
+        if match is None:
             raise ImageError("truncated PGM header")
-        tokens.append(blob[start:i])
-    if i >= n or not blob[i : i + 1].isspace():
+        tokens.append(match[1])
+        i = match.end()
+    if not blob[i : i + 1].isspace():
         raise ImageError("missing whitespace after maxval")
     return tokens, i + 1
 
@@ -104,12 +101,8 @@ def load_pgm(blob: bytes) -> Image:
     return Image(data)
 
 
-def save_pgm(image: Image, maxval: int = 65535) -> bytes:
-    """Encode an Image as a binary PGM; quantization is round-to-nearest."""
-    if maxval not in (255, 65535):
-        raise ImageError(f"unsupported maxval {maxval}")
-    dtype = np.dtype(">u2") if maxval == 65535 else np.dtype("u1")
-    samples = np.rint(image.data * maxval).astype(dtype)
-    header = f"P5\n{image.width} {image.height}\n{maxval}\n".encode("ascii")
+def save_pgm(image: Image) -> bytes:
+    """Encode an Image as a 16-bit binary PGM; quantization is round-to-nearest."""
+    samples = np.rint(image.data * 65535).astype(">u2")
+    header = f"P5\n{image.width} {image.height}\n65535\n".encode("ascii")
     return header + samples.tobytes()
-

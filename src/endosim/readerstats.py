@@ -11,7 +11,8 @@ from __future__ import annotations
 import csv
 import io
 import math
-from dataclasses import dataclass
+from collections import Counter
+from dataclasses import dataclass, fields
 
 from scipy import special, stats
 
@@ -85,7 +86,7 @@ class DiagnosticSummary:
         return (self.tp + self.fn) / self.total if self.total else NOT_DEFINED
 
 
-READS_HEADER = ["image_id", "reader_id", "modality", "call", "confidence", "truth"]
+READS_HEADER = [f.name for f in fields(ReadRecord)]
 
 
 def parse_records(text: str) -> list[ReadRecord]:
@@ -99,7 +100,7 @@ def parse_records(text: str) -> list[ReadRecord]:
     for row in reader:
         if None in row.values() or None in row:
             raise ValueError("ragged CSV row")
-        rec = ReadRecord(**{k: row[k] for k in READS_HEADER})
+        rec = ReadRecord(**row)
         key = (rec.image_id, rec.reader_id, rec.modality)
         if key in seen:
             raise ValueError(f"duplicate read {key}")
@@ -115,27 +116,14 @@ def summarize(
     reader_id: str | None = None,
 ) -> DiagnosticSummary:
     """Confusion counts over the filtered records."""
-    tp = fp = fn = tn = 0
-    for r in records:
-        if modality is not None and r.modality != modality:
-            continue
-        if confidence is not None and r.confidence != confidence:
-            continue
-        if reader_id is not None and r.reader_id != reader_id:
-            continue
-        positive_call = r.call == POSITIVE
-        positive_truth = r.truth == POSITIVE
-        if positive_call and positive_truth:
-            tp += 1
-        elif positive_call:
-            fp += 1
-        elif positive_truth:
-            fn += 1
-        else:
-            tn += 1
-    if tp + fp + fn + tn == 0:
+    counts = Counter(
+        (r.call == POSITIVE, r.truth == POSITIVE) for r in records
+        if modality in (None, r.modality) and confidence in (None, r.confidence)
+        and reader_id in (None, r.reader_id))
+    if not counts:
         raise ValueError("no records match the filter")
-    return DiagnosticSummary(tp=tp, fp=fp, fn=fn, tn=tn)
+    return DiagnosticSummary(tp=counts[True, True], fp=counts[True, False],
+                             fn=counts[False, True], tn=counts[False, False])
 
 
 @dataclass(frozen=True)
@@ -162,17 +150,13 @@ def unpaired_t_test(group_a: list[float], group_b: list[float]) -> TTestResult:
     df = na + nb - 2
     pooled = ((na - 1) * var_a + (nb - 1) * var_b) / df
     if pooled == 0.0:
-        return _degenerate_t(mean_a, mean_b, df)
+        if mean_a == mean_b:
+            return TTestResult(t=0.0, p=1.0, df=df, degenerate_variance=True)
+        t = math.copysign(math.inf, mean_a - mean_b)
+        return TTestResult(t=t, p=0.0, df=df, degenerate_variance=True)
     t = (mean_a - mean_b) / math.sqrt(pooled * (1.0 / na + 1.0 / nb))
     p = float(special.betainc(df / 2.0, 0.5, df / (df + t * t)))
     return TTestResult(t=t, p=p, df=df)
-
-
-def _degenerate_t(mean_a: float, mean_b: float, df: int) -> TTestResult:
-    if mean_a == mean_b:
-        return TTestResult(t=0.0, p=1.0, df=df, degenerate_variance=True)
-    sign = 1.0 if mean_a > mean_b else -1.0
-    return TTestResult(t=sign * math.inf, p=0.0, df=df, degenerate_variance=True)
 
 
 def _tost_power(n: int, p_assumed: float, limit: float, alpha: float) -> float:
@@ -202,14 +186,13 @@ def equivalence_sample_size(
     z_power = stats.norm.ppf((1.0 + power) / 2.0)
     variance = 2.0 * p_assumed * (1.0 - p_assumed)
     n = max(2, math.ceil(variance * (z_alpha + z_power) ** 2 / equivalence_limit**2))
+    while 2 < n <= 10**9 and (
+            _tost_power(n - 1, p_assumed, equivalence_limit, alpha) >= power):
+        n -= 1
+    while n <= 10**9 and _tost_power(n, p_assumed, equivalence_limit, alpha) < power:
+        n += 1
     if n > 10**9:
         raise ValueError("equivalence limit too small; required n exceeds 1e9")
-    while n > 2 and _tost_power(n - 1, p_assumed, equivalence_limit, alpha) >= power:
-        n -= 1
-    while _tost_power(n, p_assumed, equivalence_limit, alpha) < power:
-        n += 1
-        if n > 10**9:
-            raise ValueError("equivalence limit too small; required n exceeds 1e9")
     return n
 
 
@@ -236,14 +219,9 @@ def study_report(records: list[ReadRecord]) -> dict:
                     continue
                 per_reader[(reader, modality, stratum)] = s
 
-    confidence_rates = {}
-    for reader in readers:
-        for modality in MODALITIES:
-            reads = [r for r in records
-                     if r.reader_id == reader and r.modality == modality]
-            if reads:
-                high = sum(1 for r in reads if r.confidence == "high")
-                confidence_rates[(reader, modality)] = high / len(reads)
+    high = {key[:2]: s.total for key, s in per_reader.items() if key[2] == "high"}
+    confidence_rates = {key[:2]: high.get(key[:2], 0) / s.total
+                        for key, s in per_reader.items() if key[2] == "all"}
 
     tests = {}
     for stratum in strata:

@@ -3,7 +3,8 @@ import struct
 import numpy as np
 import pytest
 
-from endosim import srcnn
+from endosim import degrade as degrade_mod
+from endosim import phantom, preprocess, srcnn
 from endosim.cli import dispatch
 from endosim.degrade import DegradationConfig, degrade
 from endosim.image import Image, load_pgm, save_pgm
@@ -119,6 +120,50 @@ def test_infinite_number_is_data_error(tmp_path, capsys, argv):
     assert not names["OUT"].exists()
 
 
+@pytest.mark.parametrize("module, function, argv, expected", [
+    (phantom, "generate_phantom",
+     ["phantom", "--width", "20", "--height", "24", "--density", "150",
+      "--label", "non_neoplastic", "OUT"],
+     phantom.PhantomSpec(width=20, height=24, nuclei_per_megapixel=150.0,
+                         label="non_neoplastic")),
+    (preprocess, "preprocess",
+     ["preprocess", "--sigma", "1.5", "--clip-limit", "0.01", "--tiles", "2", "3",
+      "--bins", "64", "HR", "OUT"],
+     preprocess.PreprocessConfig(gaussian_sigma_px=1.5, clahe_clip_limit=0.01,
+                                 clahe_tiles=(2, 3), clahe_bins=64)),
+    (degrade_mod, "degrade",
+     ["degrade", "--pixel-size", "1", "--fiber-diameter", "3",
+      "--inter-fiber-distance", "5", "--max-offset", "1", "HR", "OUT"],
+     DegradationConfig(pixel_size_um=1.0, fiber_diameter_um=3.0,
+                       inter_fiber_distance_um=5.0, max_offset_um=1.0)),
+    (srcnn, "train",
+     ["train", "--epochs", "3", "--batch-size", "2", "--patch-size", "8",
+      "--patches-per-image", "4", "--learning-rate", "0.01",
+      "--validation-interval", "2", "--seed", "9", "DATA", "OUT"],
+     srcnn.TrainConfig(learning_rate=0.01, epochs=3, batch_size=2, patch_size=8,
+                       patches_per_image=4, seed=9, validation_interval=2)),
+])
+def test_every_config_flag_reaches_its_field(tmp_path, monkeypatch, capsys,
+                                             module, function, argv, expected):
+    # a flag whose dest names no config field would be dropped silently
+    names = {"HR": write_phantom(tmp_path, size=16), "OUT": tmp_path / "out",
+             "DATA": tmp_path / "data"}
+    for split in ("train", "val"):
+        (names["DATA"] / split).mkdir(parents=True)
+        (names["DATA"] / split / "a_hr.pgm").write_bytes(names["HR"].read_bytes())
+        (names["DATA"] / split / "a_lr.pgm").write_bytes(names["HR"].read_bytes())
+    seen = []
+
+    def capture(*args):
+        seen.extend(a for a in args if type(a) is type(expected))
+        raise ValueError("captured")
+
+    monkeypatch.setattr(module, function, capture)
+    assert dispatch([str(names.get(a, a)) for a in argv]) == 2
+    assert capsys.readouterr().err == "error: captured\n"
+    assert seen == [expected]
+
+
 class TestPreprocessCommand:
     def test_runs(self, tmp_path):
         hr = write_phantom(tmp_path)
@@ -144,6 +189,11 @@ class TestSampleSizeCommand:
 
     def test_bad_parameter_is_data_error(self):
         assert dispatch(["samplesize", "--limit", "1.5", "--p", "0.7"]) == 2
+
+    def test_required_n_above_1e9_is_data_error(self, capsys):
+        assert dispatch(["samplesize", "--power", "0.8", "--alpha", "0.05",
+                         "--limit", "1e-6", "--p", "0.5"]) == 2
+        assert "exceeds 1e9" in capsys.readouterr().err
 
 
 class TestReaderstatsCommand:

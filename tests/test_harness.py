@@ -2,6 +2,7 @@ import json
 import math
 import stat
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -367,6 +368,29 @@ class TestSweepConfigJson:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert not out.exists()
+
+    @pytest.mark.parametrize("doc, field", [
+        ({"phantom_specs": [{"width": 64.5, "height": 64}]}, "width"),
+        ({"phantom_specs": [{"width": 64, "height": 64}], "train_count": 1.5}, "train_count"),
+        ({"phantom_specs": [{"width": 64, "height": 64}],
+          "train": {"epochs": 1.5, "patch_size": 32}}, "epochs"),
+    ])
+    def test_float_in_int_field_is_data_error(self, tmp_path, capsys, doc, field):
+        config = tmp_path / "sweep.json"
+        config.write_text(json.dumps({**doc, "offset_um": [0.0, 2.0]}))
+        out = tmp_path / "out"
+        assert dispatch(["sweep", "--config", str(config), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert f"{field} must be an integer" in err
+        assert not out.exists()
+
+    def test_readme_sweep_json_parses(self):
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        block = readme.split("### Sweep JSON", 1)[1].split("```json\n", 1)[1]
+        cfg = sweep_config_from_json(json.loads(block.split("```", 1)[0]))
+        assert [c.axis for c in cfg.cells()] == (
+            ["offset"] * 3 + ["inter_fiber_distance"] * 3 + ["fiber_diameter"] * 2)
 
 
 class TestAtomicWrite:

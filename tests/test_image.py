@@ -70,24 +70,44 @@ class TestLoadPgm:
         with pytest.raises(ImageError, match="maxval"):
             load_pgm(make_pgm(1, 1, 255, [0]).replace(b"255", b"100"))
 
+    @pytest.mark.parametrize("header", [
+        b"P5#x\n1 1\n255\n",  # comment directly after a token
+        b"P5\n# c\r1 1\n255\n",  # comment ended by CR
+        b"P5 1 1#c\n255\n",  # comment between height and maxval
+        b"P5\t1\x0b1\x0c255\n",  # tab, VT and FF as separators
+        b"P5 1 1 255\r",  # the one whitespace byte after maxval may be CR
+    ])
+    def test_header_grammar(self, header):
+        img = load_pgm(header + b"\x33")
+        assert img.width == img.height == 1 and img.data[0, 0] == 0x33 / 255
+
+    @pytest.mark.parametrize("blob, message", [
+        (b"P5 1 1 #c", "truncated PGM header"),  # comment runs to EOF
+        (b"P5 1 1 255", "missing whitespace after maxval"),
+        (b"P5 1 1 255#\n\x33", "missing whitespace after maxval"),
+    ])
+    def test_header_errors(self, blob, message):
+        with pytest.raises(ImageError, match=message):
+            load_pgm(blob)
+
 
 class TestSavePgm:
     def test_round_to_nearest(self):
-        blob = save_pgm(Image(np.array([[0.5]])), maxval=255)
-        assert blob.endswith(bytes([128]))
+        blob = save_pgm(Image(np.array([[0.5]])))
+        assert blob.endswith((32768).to_bytes(2, "big"))
 
     def test_zero(self):
-        blob = save_pgm(Image(np.array([[0.0]])), maxval=255)
-        assert blob.endswith(bytes([0]))
+        blob = save_pgm(Image(np.array([[0.0]])))
+        assert blob.endswith(bytes([0, 0]))
 
     def test_roundtrip_16bit(self):
         rng = np.random.default_rng(3)
         img = Image(rng.uniform(0, 1, (8, 8)))
-        back = load_pgm(save_pgm(img, maxval=65535))
+        back = load_pgm(save_pgm(img))
         assert np.abs(back.data - img.data).max() <= 1.0 / 131070
 
     def test_lossless_on_grid_values(self):
         rng = np.random.default_rng(4)
         img = Image(rng.integers(0, 65536, (6, 5)) / 65535.0)
-        assert load_pgm(save_pgm(img, maxval=65535)) == img
+        assert load_pgm(save_pgm(img)) == img
 

@@ -205,6 +205,10 @@ class TestEquivalenceSampleSize:
         with pytest.raises(ValueError):
             equivalence_sample_size(0.8, 0.0, 0.15, 0.7)
 
+    def test_required_n_above_1e9_rejected(self):
+        with pytest.raises(ValueError, match="exceeds 1e9"):
+            equivalence_sample_size(0.8, 0.05, 1e-6, 0.5)
+
 
 def synthetic_study(rng, readers=4, images=20, identical=False):
     records = []
