@@ -51,8 +51,6 @@ def build_parser() -> _Parser:
     p.add_argument("--height", type=int, default=128)
     p.add_argument("--density", type=float, default=300.0,
                    dest="nuclei_per_megapixel", help="nuclei per megapixel")
-    p.add_argument("--label", default="neoplastic",
-                   choices=["neoplastic", "non_neoplastic"])
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.add_argument("output")
 
@@ -276,7 +274,7 @@ def dispatch(argv: list[str]) -> int:
         return EXIT_USAGE
     try:
         return args.run(args)
-    except (ImageError, ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError) as exc:  # ImageError and JSONDecodeError too
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
 

@@ -66,7 +66,6 @@ class DegradationConfig:
 class FiberSample:
     tile_origin: tuple[int, int]  # (row, col)
     roi_origin: tuple[int, int]  # (row, col), after offset and clamping
-    roi_size: int
     mean_value: float
     offset: tuple[int, int]  # (d_y, d_x) as drawn, before clamping
 
@@ -78,7 +77,6 @@ class DegradedPair:
 
     sparse: Image
     lr: Image
-    roi_size: int
     tile_origins: np.ndarray  # (n, 2)
     roi_origins: np.ndarray  # (n, 2), after offset and clamping
     offsets: np.ndarray  # (n, 2) of (d_y, d_x), as drawn, before clamping
@@ -91,7 +89,6 @@ class DegradedPair:
             FiberSample(
                 tile_origin=tuple(t),
                 roi_origin=tuple(r),
-                roi_size=self.roi_size,
                 mean_value=mean,
                 offset=tuple(o),
             )
@@ -152,7 +149,6 @@ def degrade(
     return DegradedPair(
         sparse=Image(sparse),
         lr=Image(lr),
-        roi_size=m,
         tile_origins=tiles,
         roi_origins=rois,
         offsets=offsets,

@@ -15,9 +15,6 @@ from .image import Image
 
 __all__ = ["PhantomSpec", "generate_phantom"]
 
-NEOPLASTIC = "neoplastic"
-NON_NEOPLASTIC = "non_neoplastic"
-
 
 @dataclass(frozen=True)
 class PhantomSpec:
@@ -29,14 +26,13 @@ class PhantomSpec:
     background_level: float = 0.15
     background_noise_sd: float = 0.02
     eccentricity_max: float = 0.4
-    label: str = NEOPLASTIC
 
     def __post_init__(self) -> None:
         r_min, r_max = self.nucleus_radius_px
         i_lo, i_hi = self.nucleus_intensity
-        # every field but the label is a number or a pair of numbers; unlike
-        # np.isfinite, abs() < inf takes an int too large for a float (a width)
-        if not all(abs(v) < np.inf for v in np.hstack(astuple(self)[:-1])):
+        # every field is a number or a pair of numbers; unlike np.isfinite,
+        # abs() < inf takes an int too large for a float (a width)
+        if not all(abs(v) < np.inf for v in np.hstack(astuple(self))):
             raise ValueError("phantom spec values must be finite")
         if self.width < 1 or self.height < 1:
             raise ValueError("canvas must be at least 1x1")
@@ -50,8 +46,6 @@ class PhantomSpec:
             raise ValueError("eccentricity_max must lie in [0, 1)")
         if self.background_level + 3.0 * self.background_noise_sd >= i_lo:
             raise ValueError("background must stay below the nucleus intensity range")
-        if self.label not in (NEOPLASTIC, NON_NEOPLASTIC):
-            raise ValueError(f"unknown label {self.label!r}")
 
 
 def _render_nucleus(

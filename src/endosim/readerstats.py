@@ -93,11 +93,15 @@ def parse_records(text: str) -> list[ReadRecord]:
     """Strict CSV parse; header required, unknown enum values rejected,
     duplicate (image_id, reader_id, modality) keys rejected."""
     reader = csv.DictReader(io.StringIO(text))
+    try:
+        rows = list(reader)
+    except csv.Error as exc:  # a bare carriage return, a field over 128 KiB
+        raise ValueError(f"malformed CSV: {exc}") from exc
     if reader.fieldnames != READS_HEADER:
         raise ValueError(f"expected header {','.join(READS_HEADER)}")
     records: list[ReadRecord] = []
     seen: set[tuple[str, str, str]] = set()
-    for row in reader:
+    for row in rows:
         if None in row.values() or None in row:
             raise ValueError("ragged CSV row")
         rec = ReadRecord(**row)
@@ -182,10 +186,13 @@ def equivalence_sample_size(
         if not (0.0 < value < 1.0):
             raise ValueError(f"{name} must lie strictly between 0 and 1")
 
-    z_alpha = stats.norm.ppf(1.0 - alpha)
-    z_power = stats.norm.ppf((1.0 + power) / 2.0)
-    variance = 2.0 * p_assumed * (1.0 - p_assumed)
-    n = max(2, math.ceil(variance * (z_alpha + z_power) ** 2 / equivalence_limit**2))
+    # at z <= 0 every n reaches the power, and the scan starts from n = 2
+    z = max(0.0, float(stats.norm.ppf(1.0 - alpha) + stats.norm.ppf((1.0 + power) / 2.0)))
+    # the closed-form n times limit**2, bounded first: limit**2 can underflow to 0
+    start = 2.0 * p_assumed * (1.0 - p_assumed) * (z * z)
+    if not start <= 1e9 * equivalence_limit**2:
+        raise ValueError("equivalence limit too small; required n exceeds 1e9")
+    n = max(2, math.ceil(start / equivalence_limit**2)) if start else 2
     while 2 < n <= 10**9 and (
             _tost_power(n - 1, p_assumed, equivalence_limit, alpha) >= power):
         n -= 1
@@ -203,9 +210,13 @@ def study_report(records: list[ReadRecord]) -> dict:
     """Per-reader HR/SR summaries, confidence-stratified summaries,
     confidence rates and HR-vs-SR t-tests across readers."""
     readers = sorted({r.reader_id for r in records})
-    modalities = sorted({r.modality for r in records})
-    if len(readers) < 2 or len(modalities) < 2:
-        raise ValueError("study needs at least 2 readers and both modalities")
+    if len(readers) < 2:
+        raise ValueError("study needs at least 2 readers")
+    reader_modalities = {(r.reader_id, r.modality) for r in records}
+    for reader in readers:
+        for modality in MODALITIES:
+            if (reader, modality) not in reader_modalities:
+                raise ValueError(f"reader {reader!r} has no {modality} reads")
 
     per_reader: dict[tuple[str, str, str], DiagnosticSummary] = {}
     strata = ("all", "high", "low")

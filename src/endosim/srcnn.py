@@ -40,6 +40,7 @@ __all__ = [
 
 WEIGHTS_MAGIC = b"SRCW"
 WEIGHTS_VERSION = 1
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8  # Kingma and Ba, 2015
 
 
 @dataclass(frozen=True)
@@ -100,7 +101,6 @@ class SrcnnModel:
 
 def init_model(
     seed: int,
-    lrelu_slope: float = 0.01,
     channels: tuple[int, int] = (64, 32),
     init_sd: float = 1e-3,
     dtype: np.dtype = np.float32,
@@ -117,7 +117,6 @@ def init_model(
         layer1=conv(c1, 1, 9),
         layer2=conv(c2, c1, 1),
         layer3=conv(1, c2, 5),
-        lrelu_slope=lrelu_slope,
     )
 
 
@@ -368,16 +367,12 @@ class TrainConfig:
     batch_size: int = 8
     patch_size: int = 512
     patches_per_image: int = 10
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-8
     seed: int = 0
     validation_interval: int = 1
-    lrelu_slope: float = 0.01
 
     def __post_init__(self) -> None:
-        if self.learning_rate <= 0:
-            raise ValueError("learning rate must be positive")
+        if not 0.0 < self.learning_rate < np.inf:  # NaN fails this test too
+            raise ValueError("learning rate must be positive and finite")
         for name in ("epochs", "batch_size", "patch_size", "patches_per_image",
                      "validation_interval"):
             if getattr(self, name) < 1:
@@ -406,7 +401,7 @@ def adam_step(
     cfg: TrainConfig,
 ) -> tuple[list[np.ndarray], AdamState]:
     """One bias-corrected Adam update; returns new parameters and state."""
-    b1, b2, eps, lr = cfg.adam_beta1, cfg.adam_beta2, cfg.adam_eps, cfg.learning_rate
+    b1, b2, eps, lr = ADAM_BETA1, ADAM_BETA2, ADAM_EPS, cfg.learning_rate
     t = state.step_count + 1
     new_params: list[np.ndarray] = []
     new_m: list[np.ndarray] = []
@@ -473,7 +468,7 @@ def train(
             raise ValueError("patch_size larger than a training image")
 
     rng = np.random.default_rng(cfg.seed)
-    model = init_model(cfg.seed, lrelu_slope=cfg.lrelu_slope)
+    model = init_model(cfg.seed)
     params = model.parameters()
     state = AdamState.zeros_like(params)
     workspace = _Workspace()

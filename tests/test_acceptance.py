@@ -9,6 +9,7 @@ runtime of this module.
 import math
 
 import numpy as np
+import pytest
 from scipy import stats
 
 from endosim.degrade import DegradationConfig, degrade, identity_check
@@ -22,6 +23,7 @@ from endosim.readerstats import (
     summarize,
     unpaired_t_test,
 )
+from endosim import srcnn
 from endosim.srcnn import (
     ConvLayer,
     SrcnnModel,
@@ -219,11 +221,12 @@ def test_criterion_4_adam_oracle(capsys):
         params, state = adam_step(params, grads, state, cfg)
 
         g = x - 3.0
-        m = cfg.adam_beta1 * m + (1 - cfg.adam_beta1) * g
-        v = cfg.adam_beta2 * v + (1 - cfg.adam_beta2) * g * g
-        m_hat = m / (1 - cfg.adam_beta1**step)
-        v_hat = v / (1 - cfg.adam_beta2**step)
-        x = x - cfg.learning_rate * m_hat / (math.sqrt(v_hat) + cfg.adam_eps)
+        b1, b2 = srcnn.ADAM_BETA1, srcnn.ADAM_BETA2
+        m = b1 * m + (1 - b1) * g
+        v = b2 * v + (1 - b2) * g * g
+        m_hat = m / (1 - b1**step)
+        v_hat = v / (1 - b2**step)
+        x = x - cfg.learning_rate * m_hat / (math.sqrt(v_hat) + srcnn.ADAM_EPS)
         if abs(float(params[0][0]) - x) > 1e-12:
             ok = False
             break
@@ -245,6 +248,7 @@ def desk_pairs(deg_cfg, count, seed_base):
     return pairs
 
 
+@pytest.mark.slow
 def test_criterion_5_training_improves_over_lr(capsys):
     deg = DegradationConfig(
         pixel_size_um=2.0,

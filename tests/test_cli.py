@@ -1,3 +1,4 @@
+import argparse
 import struct
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 
 from endosim import degrade as degrade_mod
 from endosim import phantom, preprocess, srcnn
-from endosim.cli import dispatch
+from endosim.cli import build_parser, dispatch
 from endosim.degrade import DegradationConfig, degrade
 from endosim.image import Image, load_pgm, save_pgm
 
@@ -122,10 +123,8 @@ def test_infinite_number_is_data_error(tmp_path, capsys, argv):
 
 @pytest.mark.parametrize("module, function, argv, expected", [
     (phantom, "generate_phantom",
-     ["phantom", "--width", "20", "--height", "24", "--density", "150",
-      "--label", "non_neoplastic", "OUT"],
-     phantom.PhantomSpec(width=20, height=24, nuclei_per_megapixel=150.0,
-                         label="non_neoplastic")),
+     ["phantom", "--width", "20", "--height", "24", "--density", "150", "OUT"],
+     phantom.PhantomSpec(width=20, height=24, nuclei_per_megapixel=150.0)),
     (preprocess, "preprocess",
      ["preprocess", "--sigma", "1.5", "--clip-limit", "0.01", "--tiles", "2", "3",
       "--bins", "64", "HR", "OUT"],
@@ -164,6 +163,43 @@ def test_every_config_flag_reaches_its_field(tmp_path, monkeypatch, capsys,
     assert seen == [expected]
 
 
+# (flag set to a non-default value, other flags of both runs) per command;
+# degrade draws offsets, and so reads --seed, only at a --max-offset above 0
+FLAG_CASES = {
+    "phantom": [(["--width", "40"], []), (["--height", "40"], []),
+                (["--density", "600"], []), (["--seed", "3"], [])],
+    "preprocess": [(["--sigma", "1"], []), (["--clip-limit", "0.05"], []),
+                   (["--tiles", "2", "2"], []), (["--bins", "32"], [])],
+    "degrade": [(["--pixel-size", "1"], []), (["--fiber-diameter", "4"], []),
+                (["--inter-fiber-distance", "10"], []), (["--max-offset", "2"], []),
+                (["--seed", "3"], ["--max-offset", "2"])],
+}
+
+
+@pytest.mark.parametrize("command, flag, base", [
+    pytest.param(command, flag, base, id=" ".join([command, *flag]))
+    for command, cases in FLAG_CASES.items() for flag, base in cases])
+def test_every_flag_changes_the_output(tmp_path, command, flag, base):
+    # a flag that writes the default's bytes would mislead whoever sets it
+    inputs = [] if command == "phantom" else [str(write_phantom(tmp_path, size=48))]
+    outputs = []
+    for extra in ([], flag):
+        out = tmp_path / f"out{len(outputs)}.pgm"
+        assert dispatch([command, *base, *extra, *inputs, str(out)]) == 0
+        outputs.append(out.read_bytes())
+    assert outputs[0] != outputs[1]
+
+
+@pytest.mark.parametrize("command", sorted(FLAG_CASES))
+def test_flag_cases_cover_every_flag(command):
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    # a PATH flag names an extra output file rather than shaping the output
+    flags = {a.option_strings[-1] for a in sub.choices[command]._actions
+             if a.option_strings and a.dest != "help" and a.metavar != "PATH"}
+    assert flags == {flag[0] for flag, _ in FLAG_CASES[command]}
+
+
 class TestPreprocessCommand:
     def test_runs(self, tmp_path):
         hr = write_phantom(tmp_path)
@@ -195,24 +231,45 @@ class TestSampleSizeCommand:
                          "--limit", "1e-6", "--p", "0.5"]) == 2
         assert "exceeds 1e9" in capsys.readouterr().err
 
+    @pytest.mark.filterwarnings("error")  # a numpy RuntimeWarning would reach stderr
+    def test_underflowing_limit_is_one_line_data_error(self, capsys):
+        # limit**2 underflows to 0 for limits below about 1.5e-154
+        assert dispatch(["samplesize", "--limit", "1e-200", "--p", "0.5"]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "exceeds 1e9" in err
+
 
 class TestReaderstatsCommand:
-    def test_report_files(self, tmp_path):
+    @staticmethod
+    def write_reads(path, modalities):
+        """Six reads of each modality that modalities[reader] lists."""
         rows = ["image_id,reader_id,modality,call,confidence,truth"]
         for reader in ("r1", "r2"):
             for i in range(6):
                 truth = "neoplastic" if i % 2 else "non_neoplastic"
                 call = truth if (i + len(reader)) % 3 else "neoplastic"
-                for modality in ("HR", "SR"):
+                for modality in modalities[reader]:
                     rows.append(f"img{i},{reader},{modality},{call},high,{truth}")
-        reads = tmp_path / "reads.csv"
-        reads.write_text("\n".join(rows) + "\n")
+        path.write_text("\n".join(rows) + "\n")
+        return path
+
+    def test_report_files(self, tmp_path):
+        reads = self.write_reads(tmp_path / "reads.csv", {"r1": ["HR", "SR"],
+                                                          "r2": ["HR", "SR"]})
         out = tmp_path / "report"
         assert dispatch(["readerstats", "--reads", str(reads),
                          "--out", str(out)]) == 0
         assert (out / "per_reader.csv").exists()
         assert (out / "t_tests.csv").exists()
         assert (out / "confidence_rates.csv").exists()
+
+    def test_reader_without_reads_of_a_modality_is_data_error(self, tmp_path, capsys):
+        reads = self.write_reads(tmp_path / "reads.csv", {"r1": ["HR", "SR"],
+                                                          "r2": ["HR"]})
+        out = tmp_path / "report"
+        assert dispatch(["readerstats", "--reads", str(reads), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: reader 'r2' has no SR reads\n"
+        assert not out.exists()
 
 
 class TestTrainInferCommands:

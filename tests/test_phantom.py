@@ -16,10 +16,6 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             PhantomSpec(nucleus_radius_px=(5.0, 3.0))
 
-    def test_label_enum(self):
-        with pytest.raises(ValueError):
-            PhantomSpec(label="benign")
-
 
 class TestGeneratePhantom:
     def test_empty_placement_is_constant(self):

@@ -1,0 +1,164 @@
+"""Property tests of the trust boundaries: every function that takes bytes,
+text, JSON or numbers from outside either returns or raises ValueError
+(ImageError is one), and emits no warning, whatever the input."""
+
+import csv
+import io
+import json
+import struct
+import warnings
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from endosim.harness import sweep_config_from_json
+from endosim.image import load_pgm
+from endosim.readerstats import (
+    equivalence_sample_size,
+    parse_records,
+    report_csv_tables,
+    study_report,
+)
+from endosim.srcnn import WEIGHTS_MAGIC, WEIGHTS_VERSION, load_weights
+
+FUZZ = settings(derandomize=True, deadline=None, max_examples=100)
+
+
+def returns_or_raises_value_error(fn, *args):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a warning would reach stderr
+        try:
+            fn(*args)
+        except ValueError:
+            pass
+
+
+# ---------------------------------------------------------------- PGM
+
+
+def pgm_blob(magic, width, height, maxval, separator, payload):
+    return magic + b" %d %d\n# c\n%d" % (width, height, maxval) + separator + payload
+
+
+pgm_blobs = st.one_of(
+    st.binary(max_size=64),
+    st.builds(
+        pgm_blob,
+        st.sampled_from([b"P5", b"P2", b"P6", b""]),
+        st.integers(-2, 2**40), st.integers(-2, 2**40),
+        st.sampled_from([255, 65535, 0, 256, -1]),
+        st.sampled_from([b"\n", b" ", b"", b"x"]),
+        st.binary(max_size=80),
+    ),
+)
+
+
+@FUZZ
+@given(pgm_blobs)
+def test_load_pgm(blob):
+    returns_or_raises_value_error(load_pgm, blob)
+
+
+# ---------------------------------------------------------------- weights
+
+dims = st.one_of(
+    st.tuples(st.integers(0, 4), st.integers(0, 4), st.integers(0, 6)),
+    st.tuples(*[st.integers(0, 2**32 - 1)] * 3),
+)
+
+
+@st.composite
+def weights_blobs(draw):
+    head = draw(st.sampled_from([WEIGHTS_MAGIC, b"SRCX", b"SR"]))
+    head += struct.pack("<I", draw(st.sampled_from([WEIGHTS_VERSION, 0, 2])))
+    head += struct.pack("<f", draw(st.floats(width=32)))
+    layers = b""
+    for out_c, in_c, k in draw(st.lists(dims, min_size=0, max_size=4)):
+        layers += struct.pack("<III", out_c, in_c, k)
+        n = out_c * in_c * k * k + out_c
+        if n <= 64:
+            values = draw(st.lists(st.floats(width=32), min_size=n, max_size=n))
+            layers += struct.pack(f"<{n}f", *values)
+    return head + layers + draw(st.binary(max_size=12))
+
+
+@FUZZ
+@given(weights_blobs())
+def test_load_weights(blob):
+    returns_or_raises_value_error(load_weights, blob)
+
+
+# ---------------------------------------------------------------- reader study
+
+READS_HEADER = ["image_id", "reader_id", "modality", "call", "confidence", "truth"]
+CLASSES = ["neoplastic", "non_neoplastic"]
+
+read_rows = st.lists(st.tuples(
+    st.sampled_from(["i1", "i2", "i3"]),
+    st.sampled_from(["r1", "r2", "r,3", 'r"4']),
+    st.sampled_from(["HR", "SR", "SR", "LR"]),
+    st.sampled_from(CLASSES),
+    st.sampled_from(["high", "low"]),
+    st.sampled_from(CLASSES),
+), max_size=20)
+
+
+def reads_text(rows):
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows([READS_HEADER, *rows])
+    return buf.getvalue()
+
+
+def report_tables(text):
+    return report_csv_tables(study_report(parse_records(text)))
+
+
+@FUZZ
+@given(st.one_of(read_rows.map(reads_text), st.text(max_size=200)))
+def test_reads_through_report(text):
+    returns_or_raises_value_error(report_tables, text)
+
+
+# ---------------------------------------------------------------- sample size
+
+
+@FUZZ
+@given(st.floats(), st.floats(), st.floats(), st.floats())
+def test_equivalence_sample_size(power, alpha, limit, p_assumed):
+    returns_or_raises_value_error(equivalence_sample_size, power, alpha, limit, p_assumed)
+
+
+# ---------------------------------------------------------------- sweep JSON
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=8), inner, max_size=4),
+    max_leaves=8,
+)
+SWEEP_KEYS = ["phantom_specs", "train_count", "offset_um", "inter_fiber_distance_um",
+              "fiber_diameter_um", "baseline_offset_um", "pixel_size_um", "train",
+              "base_seed"]
+SPEC_KEYS = ["width", "height", "nuclei_per_megapixel", "nucleus_radius_px",
+             "nucleus_intensity", "background_noise_sd", "label"]
+TRAIN_KEYS = ["learning_rate", "epochs", "patch_size", "validation_interval",
+              "adam_beta1", "lrelu_slope"]
+sweep_docs = st.fixed_dictionaries({}, optional={
+    **{key: json_values for key in SWEEP_KEYS},
+    "phantom_specs": st.lists(st.one_of(
+        json_values,
+        st.dictionaries(st.sampled_from(SPEC_KEYS), json_values, max_size=3),
+    ), max_size=3),
+    "train": st.dictionaries(st.sampled_from(TRAIN_KEYS), json_values, max_size=3),
+})
+
+
+def build_sweep(doc):
+    # a round trip through the CLI's parser, which reads NaN and Infinity
+    sweep_config_from_json(json.loads(json.dumps(doc))).cells()
+
+
+@FUZZ
+@given(st.one_of(sweep_docs, json_values))
+def test_sweep_config_from_json(doc):
+    returns_or_raises_value_error(build_sweep, doc)

@@ -57,6 +57,12 @@ class TestParseRecords:
         with pytest.raises(ValueError):
             parse_records(bad)
 
+    @pytest.mark.parametrize("field", ["r\r1", '"' + "r" * 200_000 + '"'])
+    def test_csv_reader_error_is_value_error(self, field):
+        # the csv module raises its own csv.Error, which is no ValueError
+        with pytest.raises(ValueError, match="malformed CSV"):
+            parse_records(self.CSV.replace("r1", field, 1))
+
 
 class TestSummarize:
     def test_study_class_split_all_correct(self):
@@ -208,6 +214,12 @@ class TestEquivalenceSampleSize:
     def test_required_n_above_1e9_rejected(self):
         with pytest.raises(ValueError, match="exceeds 1e9"):
             equivalence_sample_size(0.8, 0.05, 1e-6, 0.5)
+
+    def test_nonpositive_z_sum_needs_the_minimum_n(self):
+        # z_alpha + z_power < 0: every n reaches the power, so the closed form
+        # z^2 * variance / limit^2 is no bound and must not start the scan
+        assert stats.norm.ppf(1 - 0.9) + stats.norm.ppf((1 + 0.1) / 2) < 0
+        assert equivalence_sample_size(0.1, 0.9, 1e-5, 0.5) == 2
 
 
 def synthetic_study(rng, readers=4, images=20, identical=False):

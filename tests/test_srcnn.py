@@ -360,11 +360,12 @@ class TestAdam:
             g = 2 * (p[0][0] - 1.0)  # d/dp (p-1)^2
             p, state = adam_step(p, [np.array([g])], state, cfg)
             g_ref = 2 * (ref_p - 1.0)
-            ref_m = cfg.adam_beta1 * ref_m + (1 - cfg.adam_beta1) * g_ref
-            ref_v = cfg.adam_beta2 * ref_v + (1 - cfg.adam_beta2) * g_ref**2
-            m_hat = ref_m / (1 - cfg.adam_beta1**t)
-            v_hat = ref_v / (1 - cfg.adam_beta2**t)
-            ref_p = ref_p - cfg.learning_rate * m_hat / (np.sqrt(v_hat) + cfg.adam_eps)
+            b1, b2 = srcnn.ADAM_BETA1, srcnn.ADAM_BETA2
+            ref_m = b1 * ref_m + (1 - b1) * g_ref
+            ref_v = b2 * ref_v + (1 - b2) * g_ref**2
+            m_hat = ref_m / (1 - b1**t)
+            v_hat = ref_v / (1 - b2**t)
+            ref_p = ref_p - cfg.learning_rate * m_hat / (np.sqrt(v_hat) + srcnn.ADAM_EPS)
             assert abs(p[0][0] - ref_p) <= 1e-12
 
 
@@ -377,6 +378,11 @@ def tiny_pairs(rng, n, size=20):
 
 
 class TestTrain:
+    @pytest.mark.parametrize("lr", [0.0, -1e-3, float("nan"), float("inf")])
+    def test_learning_rate_must_be_positive_and_finite(self, lr):
+        with pytest.raises(ValueError, match="learning rate"):
+            TrainConfig(learning_rate=lr)
+
     def test_never_worse_than_initial_checkpoint(self):
         rng = np.random.default_rng(11)
         pairs = tiny_pairs(rng, 2)
