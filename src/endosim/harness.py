@@ -11,13 +11,11 @@ results do not depend on execution order or worker count.
 
 from __future__ import annotations
 
+import contextlib
 import csv
-import ctypes
-import functools
 import io
 import time
 import uuid
-import warnings
 from collections.abc import Iterable
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields, replace
@@ -29,7 +27,7 @@ from .degrade import DegradationConfig, degrade
 from .image import Image, save_pgm
 from .metrics import psnr, ssim
 from .phantom import PhantomSpec, generate_phantom
-from .srcnn import TrainConfig, infer, save_weights, train
+from .srcnn import TrainConfig, _one_blas_thread, infer, save_weights, train
 
 __all__ = [
     "SweepConfig",
@@ -204,29 +202,6 @@ class SweepFailed(ValueError):
     """Sweep cells failed; the first failure in grid order is the __cause__."""
 
 
-@functools.cache
-def _openblas_thread_fns() -> tuple:
-    """(get, set) thread-count functions of each OpenBLAS mapped into this
-    process, found by symbol as threadpoolctl does. numpy and scipy load one
-    each and name the pair differently; np.matmul calls numpy's."""
-    try:
-        with open("/proc/self/maps") as fh:
-            paths = sorted({ln.split()[-1] for ln in fh if "openblas" in ln.lower()})
-        libs = [ctypes.CDLL(path) for path in paths]
-    except OSError:
-        return ()
-    fns = []
-    for lib in libs:
-        for name in ("scipy_openblas_{}_num_threads64_", "scipy_openblas_{}_num_threads",
-                     "openblas_{}_num_threads64_", "openblas_{}_num_threads"):
-            get, set_ = (getattr(lib, name.format(op), None) for op in ("get", "set"))
-            if get and set_:
-                get.argtypes, get.restype = (), ctypes.c_int
-                set_.argtypes, set_.restype = (ctypes.c_int,), None
-                fns.append((get, set_))
-    return tuple(fns)
-
-
 def run_sweep(
     config: SweepConfig, out_dir: str | Path | None = None, threads: int = 1
 ) -> tuple[list[ResultRow], str]:
@@ -239,7 +214,8 @@ def run_sweep(
     do not compete with BLAS threads for the cores. The cap is process-wide
     and is lifted when the pool is done; two sweeps overlapping in one
     process would restore each other's counts. With no OpenBLAS to cap, a
-    RuntimeWarning names numpy's BLAS and the sweep runs uncapped.
+    RuntimeWarning names numpy's BLAS and the sweep runs uncapped. Cells
+    run on pool threads, so each cell's train starts no threads of its own.
 
     Rows come in grid order and are identical for any worker count. A
     failing cell does not stop the others; once they finish, SweepFailed
@@ -255,20 +231,9 @@ def run_sweep(
         out.mkdir(parents=True, exist_ok=True)
 
     workers = min(threads, len(cells))
-    blas = _openblas_thread_fns() if workers > 1 else ()
-    if workers > 1 and not blas:
-        name = np.__config__.CONFIG.get("Build Dependencies", {}).get("blas", {}).get("name")
-        warnings.warn(f"cannot cap the threads of numpy's BLAS ({name}); "
-                      "concurrent cells share them", RuntimeWarning, stacklevel=2)
-    old = [get() for get, _ in blas]
-    try:
-        for _, set_ in blas:
-            set_(1)
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(_run_cell, config, c, out) for c in cells]
-    finally:
-        for (_, set_), count in zip(blas, old):
-            set_(count)
+    with (_one_blas_thread() if workers > 1 else contextlib.nullcontext(),
+          ThreadPoolExecutor(max_workers=workers) as pool):
+        futures = [pool.submit(_run_cell, config, c, out) for c in cells]
     failed = [(c, e) for c, f in zip(cells, futures) if (e := f.exception()) is not None]
     if failed:
         names = ", ".join(f"{c.axis}[{c.cell_idx}]" for c, _ in failed)

@@ -11,7 +11,15 @@ preserving so correctness oracles can drive them in double precision.
 
 from __future__ import annotations
 
+import contextlib
+import contextvars
+import ctypes
+import functools
+import os
 import struct
+import threading
+import warnings
+from concurrent.futures import Executor, ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -51,6 +59,8 @@ class ConvLayer:
     def __post_init__(self) -> None:
         if self.kernel.ndim != 4 or self.kernel.shape[2] != self.kernel.shape[3]:
             raise ValueError(f"bad kernel shape {self.kernel.shape}")
+        if min(self.kernel.shape[:2]) < 1:
+            raise ValueError(f"kernel shape {self.kernel.shape} has no channels")
         if self.k % 2 == 0:
             raise ValueError("kernel size must be odd for symmetric same-padding")
         if self.bias.shape != (self.kernel.shape[0],):
@@ -305,22 +315,68 @@ class _Workspace:
         return a[:size].reshape(shape)
 
 
+# pixels per training shard; a batch of smaller images puts several in one
+_SHARD_PIXELS = 2**14
+
+
+def _shards(n: int, h: int, w: int) -> list[slice]:
+    """Whole-image shards of an (n, 1, h, w) batch. They depend on the batch
+    shape alone, never on the core count, so the summed gradients are the
+    same bytes however many workers run the shards."""
+    per = max(1, _SHARD_PIXELS // (h * w))
+    return [slice(i, i + per) for i in range(0, n, per)]
+
+
 def loss_and_grads(
     model: SrcnnModel,
     lr_batch: np.ndarray,
     target: np.ndarray,
     *,
-    workspace: _Workspace | None = None,
+    workspaces: list[_Workspace] | None = None,
+    pool: Executor | None = None,
 ) -> tuple[float, list[np.ndarray]]:
     """Single fused forward/backward pass; returns (mse, gradients) with the
     gradients of mse_loss(forward(model, lr_batch), target) in the order of
     model.parameters().
 
-    Activations are held batch-folded as (C, N*H*W) in the workspace's
-    buffers (fresh ones by default). A buffer whose contents are dead is
-    reused: dL/dz2 overwrites a2 and dL/dz1 overwrites a1.
+    The batch is cut into _shards, each run by _shard_grads, and their
+    squared errors and gradients are summed in shard order. With a pool,
+    each workspace (fresh ones by default) takes one task of contiguous
+    shards, run in the caller's context so that its numpy error state
+    holds; without one, every shard runs here in the first workspace.
     """
-    ws = _Workspace() if workspace is None else workspace
+    n, _, h, w = lr_batch.shape
+    if target.shape != (n, model.layer3.out_channels, h, w):
+        raise ValueError("loss_and_grads requires matching shapes")
+    shards = _shards(n, h, w)
+    scale = 2.0 / target.size
+
+    def run(ws: _Workspace, part: list[slice]) -> list[tuple[float, list[np.ndarray]]]:
+        return [_shard_grads(model, lr_batch[s], target[s], scale, ws) for s in part]
+
+    workspaces = workspaces or [_Workspace()]
+    if pool is None or len(shards) == 1:
+        results = run(workspaces[0], shards)
+    else:
+        per = -(-len(shards) // len(workspaces))
+        futures = [pool.submit(contextvars.copy_context().run, run, ws, shards[i : i + per])
+                   for ws, i in zip(workspaces, range(0, len(shards), per))]
+        results = [r for f in futures for r in f.result()]
+    sse = sum(shard_sse for shard_sse, _ in results)
+    grads = [functools.reduce(np.add, g) for g in zip(*(g for _, g in results))]
+    return sse / target.size, grads
+
+
+def _shard_grads(model: SrcnnModel, lr_batch: np.ndarray, target: np.ndarray,
+                 scale: float, ws: _Workspace) -> tuple[float, list[np.ndarray]]:
+    """One shard's part of loss_and_grads: the float64 sum of squared
+    errors, and the gradients with dL/dpred = scale * (pred - target), where
+    scale is the whole batch's 2 / size.
+
+    Activations are held batch-folded as (C, N*H*W) in the workspace's
+    buffers. A buffer whose contents are dead is reused: dL/dz2 overwrites
+    a2 and dL/dz1 overwrites a1.
+    """
     l1, l2, l3 = model.layers
     n, _, h, w = lr_batch.shape
     dtype = lr_batch.dtype
@@ -341,10 +397,9 @@ def loss_and_grads(
     f2 = _lrelu_factor(a2, model.lrelu_slope, act("f2", l2.out_channels))
     a2 *= f2
     pred = conv2d(a2, l3)
-    if pred.shape != target.shape:
-        raise ValueError("loss_and_grads requires matching shapes")
+    sse = float(np.sum(np.square(pred.astype(np.float64) - target)))
 
-    g3 = (2.0 / pred.size) * (pred - target)
+    g3 = scale * (pred - target)
     g3 = g3.astype(dtype, copy=False)
     cols3 = _im2col(g3, l3.k, out=cols("cols3", l3, l3.out_channels))
     dw3, db3 = _conv_param_grads(a2, g3, l3, g_cols=cols3)
@@ -357,7 +412,7 @@ def loss_and_grads(
     g_z1 *= f1
     dw1, db1 = _conv_param_grads(lr_batch, g_z1, l1, x_cols=cols1)
 
-    return mse_loss(pred, target), [dw1, db1, dw2, db2, dw3, db3]
+    return sse, [dw1, db1, dw2, db2, dw3, db3]
 
 
 @dataclass(frozen=True)
@@ -443,6 +498,69 @@ def _validation_mse(
     return mse
 
 
+@functools.cache
+def _openblas_thread_fns() -> tuple:
+    """(get, set) thread-count functions of each OpenBLAS mapped into this
+    process, found by symbol as threadpoolctl does. numpy and scipy load one
+    each and name the pair differently; np.matmul calls numpy's."""
+    try:
+        with open("/proc/self/maps") as fh:
+            paths = sorted({ln.split()[-1] for ln in fh if "openblas" in ln.lower()})
+        libs = [ctypes.CDLL(path) for path in paths]
+    except OSError:
+        return ()
+    fns = []
+    for lib in libs:
+        for name in ("scipy_openblas_{}_num_threads64_", "scipy_openblas_{}_num_threads",
+                     "openblas_{}_num_threads64_", "openblas_{}_num_threads"):
+            get, set_ = (getattr(lib, name.format(op), None) for op in ("get", "set"))
+            if get and set_:
+                get.argtypes, get.restype = (), ctypes.c_int
+                set_.argtypes, set_.restype = (ctypes.c_int,), None
+                fns.append((get, set_))
+    return tuple(fns)
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Hold every OpenBLAS that _openblas_thread_fns finds at one thread, so
+    that threads of ours do not compete with BLAS threads for the cores,
+    and restore the previous counts on exit, also on error. The cap is
+    process-wide: two holders overlapping in one process would restore
+    each other's counts. With no OpenBLAS to cap, a RuntimeWarning names
+    numpy's BLAS and nothing is capped."""
+    blas = _openblas_thread_fns()
+    if not blas:
+        name = np.__config__.CONFIG.get("Build Dependencies", {}).get("blas", {}).get("name")
+        warnings.warn(f"cannot cap the threads of numpy's BLAS ({name}); "
+                      "concurrent threads share them", RuntimeWarning, stacklevel=4)
+    old = [get() for get, _ in blas]
+    try:
+        for _, set_ in blas:
+            set_(1)
+        yield
+    finally:
+        for (_, set_), count in zip(blas, old):
+            set_(count)
+
+
+@contextlib.contextmanager
+def _shard_pool(cfg: TrainConfig):
+    """(workspaces, pool) for train's steps: on the main thread with OpenBLAS
+    to cap, min(cores, shards of a full batch) threads, one workspace each,
+    with OpenBLAS at one thread until the pool is shut down. Elsewhere (sweep
+    cells run on pool threads) no thread is started: one workspace, no pool."""
+    workers = 1
+    if threading.current_thread() is threading.main_thread() and _openblas_thread_fns():
+        shards = _shards(cfg.batch_size, cfg.patch_size, cfg.patch_size)
+        workers = min(len(os.sched_getaffinity(0)), len(shards))
+    if workers == 1:
+        yield [_Workspace()], None
+        return
+    with _one_blas_thread(), ThreadPoolExecutor(workers) as pool:
+        yield [_Workspace() for _ in range(workers)], pool
+
+
 # a diverging run's non-finite Adam update meets a loss check that raises
 @np.errstate(over="ignore", invalid="ignore")
 def train(
@@ -458,6 +576,10 @@ def train(
     validation pass. The returned model is the snapshot with the smallest
     validation MSE seen, including the initialized model. A batch loss or
     validation MSE that is NaN or infinite raises TrainingDiverged.
+
+    On the main thread, each step's shards run on a pool (_shard_pool),
+    and OpenBLAS is held at one thread process-wide for the epochs. The
+    result is the same bytes on any thread.
     """
     if not pairs or not val_pairs:
         raise ValueError("training and validation sets must be non-empty")
@@ -471,52 +593,49 @@ def train(
     model = init_model(cfg.seed)
     params = model.parameters()
     state = AdamState.zeros_like(params)
-    workspace = _Workspace()
 
     history = TrainHistory()
     best_val = _validation_mse(model, val_pairs, 0)
     best_params = params
     history.rows.append((0, float("nan"), best_val))
 
-    for epoch in range(1, cfg.epochs + 1):
-        patches: list[tuple[np.ndarray, np.ndarray]] = []
-        for lr_img, hr_img in pairs:
-            for _ in range(cfg.patches_per_image):
-                x0 = int(rng.integers(0, lr_img.width - cfg.patch_size + 1))
-                y0 = int(rng.integers(0, lr_img.height - cfg.patch_size + 1))
-                sl = (slice(y0, y0 + cfg.patch_size), slice(x0, x0 + cfg.patch_size))
-                patches.append(
-                    (
-                        lr_img.data[sl].astype(np.float32),
-                        hr_img.data[sl].astype(np.float32),
-                    )
-                )
-        order = rng.permutation(len(patches))
+    with _shard_pool(cfg) as (workspaces, pool):
+        for epoch in range(1, cfg.epochs + 1):
+            patches: list[tuple[np.ndarray, np.ndarray]] = []
+            for lr_img, hr_img in pairs:
+                for _ in range(cfg.patches_per_image):
+                    x0 = int(rng.integers(0, lr_img.width - cfg.patch_size + 1))
+                    y0 = int(rng.integers(0, lr_img.height - cfg.patch_size + 1))
+                    sl = (slice(y0, y0 + cfg.patch_size), slice(x0, x0 + cfg.patch_size))
+                    patches.append((lr_img.data[sl].astype(np.float32),
+                                    hr_img.data[sl].astype(np.float32)))
+            order = rng.permutation(len(patches))
 
-        epoch_loss = 0.0
-        n_batches = 0
-        for start in range(0, len(order), cfg.batch_size):
-            idx = order[start : start + cfg.batch_size]
-            x = np.stack([patches[i][0] for i in idx])[:, None]
-            t = np.stack([patches[i][1] for i in idx])[:, None]
+            epoch_loss = 0.0
+            n_batches = 0
+            for start in range(0, len(order), cfg.batch_size):
+                idx = order[start : start + cfg.batch_size]
+                x = np.stack([patches[i][0] for i in idx])[:, None]
+                t = np.stack([patches[i][1] for i in idx])[:, None]
+                model = model.with_parameters(params)
+                batch_loss, grads = loss_and_grads(model, x, t, workspaces=workspaces,
+                                                   pool=pool)
+                n_batches += 1
+                if not np.isfinite(batch_loss):
+                    raise TrainingDiverged(f"training diverged: batch loss {batch_loss} "
+                                           f"at epoch {epoch}, step {n_batches}")
+                epoch_loss += batch_loss
+                params, state = adam_step(params, grads, state, cfg)
+
             model = model.with_parameters(params)
-            batch_loss, grads = loss_and_grads(model, x, t, workspace=workspace)
-            n_batches += 1
-            if not np.isfinite(batch_loss):
-                raise TrainingDiverged(f"training diverged: batch loss {batch_loss} "
-                                       f"at epoch {epoch}, step {n_batches}")
-            epoch_loss += batch_loss
-            params, state = adam_step(params, grads, state, cfg)
-
-        model = model.with_parameters(params)
-        if epoch % cfg.validation_interval == 0 or epoch == cfg.epochs:
-            val = _validation_mse(model, val_pairs, epoch)
-            if val < best_val:
-                best_val = val
-                best_params = params
-        else:
-            val = float("nan")
-        history.rows.append((epoch, epoch_loss / n_batches, val))
+            if epoch % cfg.validation_interval == 0 or epoch == cfg.epochs:
+                val = _validation_mse(model, val_pairs, epoch)
+                if val < best_val:
+                    best_val = val
+                    best_params = params
+            else:
+                val = float("nan")
+            history.rows.append((epoch, epoch_loss / n_batches, val))
 
     return model.with_parameters(best_params), history
 

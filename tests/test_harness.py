@@ -1,13 +1,14 @@
 import json
 import math
 import stat
+import threading
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from endosim import harness
+from endosim import harness, srcnn
 from endosim.cli import dispatch
 from endosim.degrade import DegradationConfig, degrade
 from endosim.harness import (
@@ -235,7 +236,7 @@ class TestRunSweep:
 
 
 # the real lookup, kept before any test replaces it
-_BLAS_THREAD_FNS = harness._openblas_thread_fns
+_BLAS_THREAD_FNS = srcnn._openblas_thread_fns
 
 
 def blas_threads() -> list[int]:
@@ -307,13 +308,34 @@ class TestBlasCap:
     def test_warns_without_openblas(self, seen, monkeypatch):
         cfg = tiny_config(offset_um=(0.0, 2.0))
         rows, _ = run_sweep(cfg, threads=1)
-        monkeypatch.setattr(harness, "_openblas_thread_fns", lambda: ())
+        monkeypatch.setattr(srcnn, "_openblas_thread_fns", lambda: ())
         with pytest.warns(RuntimeWarning, match="numpy's BLAS"):
             fallback, _ = run_sweep(cfg, threads=2)
         assert [replace(r, train_seconds=0) for r in fallback] == [
             replace(r, train_seconds=0) for r in rows]
         assert all(set(counts) == {2} for counts in seen)
         assert set(blas_threads()) == {2}
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_sweep_cell_starts_no_thread(monkeypatch, threads):
+    # cells run on the sweep's pool threads, so train runs a cell's shards
+    # serially in the cell's thread: one image per shard gives four shards
+    # a step, and no step may see a thread beyond the sweep's workers
+    monkeypatch.setattr(srcnn, "_SHARD_PIXELS", TINY_TRAIN.patch_size ** 2)
+    real = srcnn._shard_grads
+    seen = []
+
+    def counting(*args):
+        seen.append(len(threading.enumerate()))
+        return real(*args)
+
+    monkeypatch.setattr(srcnn, "_shard_grads", counting)
+    before = len(threading.enumerate())
+    run_sweep(tiny_config(offset_um=(0.0, 2.0)), threads=threads)
+    assert len(seen) == 2 * 2 * 4  # cells x epochs (one step each) x shards
+    assert max(seen) <= before + threads
+    assert len(threading.enumerate()) == before
 
 
 class TestSweepConfigJson:

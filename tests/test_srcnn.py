@@ -1,6 +1,11 @@
 import ast
 import importlib
+import os
+import struct
+import sys
+import threading
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -9,6 +14,8 @@ import pytest
 from endosim.image import Image
 from endosim import srcnn
 from endosim.srcnn import (
+    WEIGHTS_MAGIC,
+    WEIGHTS_VERSION,
     AdamState,
     ConvLayer,
     SrcnnModel,
@@ -332,6 +339,43 @@ class TestBackward:
         assert abs(grads[-1][0] - 2 * r) <= 1e-10
 
 
+class TestShards:
+    def test_shard_rule(self):
+        # criterion 5's and train_desk's batch, the call-shape test's batch
+        # and the paper's default batch
+        shapes = [(8, 64, 64), (2, 8, 8), (8, 512, 512)]
+        assert [len(srcnn._shards(*shape)) for shape in shapes] == [2, 1, 8]
+
+    def test_sharded_step_equals_one_shard(self, monkeypatch):
+        # 5 images at 2 a shard make shards of 2, 2 and 1; their sum equals
+        # one _shard_grads call over the whole batch, and a pool changes no byte
+        rng = np.random.default_rng(28)
+        m = micro_model(rng)
+        x = rng.uniform(0.2, 0.8, (5, 1, 9, 11))
+        target = rng.uniform(0.2, 0.8, (5, 1, 9, 11))
+        monkeypatch.setattr(srcnn, "_SHARD_PIXELS", 2 * 9 * 11)
+        assert [len(x[s]) for s in srcnn._shards(5, 9, 11)] == [2, 2, 1]
+        sse, ref = srcnn._shard_grads(m, x, target, 2 / target.size, srcnn._Workspace())
+        serial = loss_and_grads(m, x, target)
+        # one task per shard, on more threads than this machine has cores,
+        # switching threads as often as the interpreter allows
+        interval = sys.getswitchinterval()
+        try:
+            sys.setswitchinterval(1e-6)
+            with ThreadPoolExecutor(3) as pool:
+                pooled = loss_and_grads(m, x, target, pool=pool,
+                                        workspaces=[srcnn._Workspace() for _ in range(3)])
+        finally:
+            sys.setswitchinterval(interval)
+        assert abs(serial[0] - sse / target.size) <= 1e-12 * serial[0]
+        assert len(serial[1]) == len(ref) == 6
+        for g, r in zip(serial[1], ref):
+            assert np.abs(g - r).max() <= 1e-12 * np.abs(r).max()
+        assert pooled[0] == serial[0]
+        for g, r in zip(pooled[1], serial[1]):
+            np.testing.assert_array_equal(g, r, strict=True)
+
+
 class TestAdam:
     def cfg(self, **kw):
         return TrainConfig(**kw)
@@ -485,6 +529,82 @@ class TestTrain:
             warnings.simplefilter("error")
             with pytest.raises(TrainingDiverged, match=where):
                 train(pairs, pairs, cfg)
+
+    def test_divergence_raises_on_two_shards(self):
+        # an 8x64x64 batch is two shards; lr 1e10 overflows the shards' own
+        # GEMMs, and numpy's error state is a context variable, which pool
+        # threads do not inherit, so the shards must run in train's context
+        # for its overflow warnings to stay silenced
+        pairs = tiny_pairs(np.random.default_rng(16), 2, size=64)
+        cfg = TrainConfig(epochs=3, patch_size=64, patches_per_image=4, batch_size=8,
+                          learning_rate=1e10, validation_interval=3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(TrainingDiverged, match="batch loss nan at epoch 3, step 1"):
+                train(pairs, pairs, cfg)
+
+    def test_one_and_two_workers_same_bytes(self, monkeypatch):
+        # a train_desk-shaped step (8 patches of 64x64, two shards): on the
+        # main thread its shards run on two pool threads, on any other
+        # thread serially in that thread
+        if not srcnn._openblas_thread_fns() or len(os.sched_getaffinity(0)) < 2:
+            pytest.skip("shards run serially without OpenBLAS control or a second core")
+        real = srcnn._shard_grads
+        threads = []
+
+        def recording(*args):
+            threads.append(threading.get_ident())
+            return real(*args)
+
+        monkeypatch.setattr(srcnn, "_shard_grads", recording)
+        pairs = tiny_pairs(np.random.default_rng(29), 2, size=72)
+        cfg = TrainConfig(epochs=2, patch_size=64, patches_per_image=4, batch_size=8,
+                          learning_rate=1e-3, seed=3)
+        main = train(pairs, pairs, cfg)
+        main_threads, threads[:] = set(threads), []
+        other = []
+        worker = threading.Thread(target=lambda: other.append(train(pairs, pairs, cfg)))
+        worker.start()
+        worker.join(timeout=600)
+        assert not worker.is_alive()
+        assert len(main_threads) == 2 and threading.get_ident() not in main_threads
+        assert set(threads) == {worker.ident} and len(threads) == 2 * 2
+        assert save_weights(main[0]) == save_weights(other[0][0])
+        np.testing.assert_array_equal(np.array(main[1].rows), np.array(other[0][1].rows))
+
+    @pytest.mark.parametrize("learning_rate", [1e-3, 1e6])
+    def test_restores_blas_threads_and_leaves_no_thread(self, monkeypatch, learning_rate):
+        fns = srcnn._openblas_thread_fns()
+        if not fns or len(os.sched_getaffinity(0)) < 2:
+            pytest.skip("shards run serially without OpenBLAS control or a second core")
+        old = [get() for get, _ in fns]
+        real = srcnn._shard_grads
+        seen = []
+
+        def recording(*args):
+            seen.append([get() for get, _ in fns])
+            return real(*args)
+
+        monkeypatch.setattr(srcnn, "_shard_grads", recording)
+        monkeypatch.setattr(srcnn, "_SHARD_PIXELS", 8 * 8)  # one patch a shard
+        pairs = tiny_pairs(np.random.default_rng(30), 2)
+        cfg = TrainConfig(epochs=3, patch_size=8, patches_per_image=2, batch_size=4,
+                          learning_rate=learning_rate)
+        before = set(threading.enumerate())
+        try:
+            for _, set_ in fns:
+                set_(2)
+            if learning_rate > 1:
+                with pytest.raises(TrainingDiverged):
+                    train(pairs, pairs, cfg)
+            else:
+                train(pairs, pairs, cfg)
+            assert [get() for get, _ in fns] == [2] * len(fns)
+        finally:
+            for (_, set_), count in zip(fns, old):
+                set_(count)
+        assert seen and all(counts == [1] * len(fns) for counts in seen)
+        assert set(threading.enumerate()) == before
 
     def test_patch_larger_than_image_rejected(self):
         rng = np.random.default_rng(13)
@@ -670,6 +790,17 @@ class TestWeightsIO:
         )
         with pytest.raises(ValueError, match="chain"):
             load_weights(save_weights(m))
+
+    @pytest.mark.parametrize("c1, c2", [(0, 2), (2, 0)])
+    def test_layer_without_channels_rejected(self, c1, c2):
+        # such a file chains 1 -> c1 -> c2 -> 1, but infer would return a
+        # constant image from it
+        blob = bytearray(WEIGHTS_MAGIC + struct.pack("<If", WEIGHTS_VERSION, 0.01))
+        for out_c, in_c, k in ((c1, 1, 9), (c2, c1, 1), (1, c2, 5)):
+            blob += struct.pack("<III", out_c, in_c, k)
+            blob += bytes(4 * (out_c * in_c * k * k + out_c))
+        with pytest.raises(ValueError, match="no channels"):
+            load_weights(bytes(blob))
 
     @pytest.mark.parametrize("value", [float("nan"), float("inf")])
     @pytest.mark.parametrize("index", [0, 5])  # layer1 kernel, layer3 bias
