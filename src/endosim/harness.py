@@ -11,13 +11,11 @@ results do not depend on execution order or worker count.
 
 from __future__ import annotations
 
-import contextlib
 import csv
 import io
 import time
 import uuid
 from collections.abc import Iterable
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
@@ -27,7 +25,7 @@ from .degrade import DegradationConfig, degrade
 from .image import Image, save_pgm
 from .metrics import psnr, ssim
 from .phantom import PhantomSpec, generate_phantom
-from .srcnn import TrainConfig, _one_blas_thread, infer, save_weights, train
+from .srcnn import TrainConfig, _pool, infer, save_weights, train
 
 __all__ = [
     "SweepConfig",
@@ -210,12 +208,9 @@ def run_sweep(
     profile there as it finishes; results.csv and timings.csv follow once
     every cell has succeeded.
 
-    While two or more cells run at once, OpenBLAS runs one thread, so cells
-    do not compete with BLAS threads for the cores. The cap is process-wide
-    and is lifted when the pool is done; two sweeps overlapping in one
-    process would restore each other's counts. With no OpenBLAS to cap, a
-    RuntimeWarning names numpy's BLAS and the sweep runs uncapped. Cells
-    run on pool threads, so each cell's train starts no threads of its own.
+    The pool is a srcnn._pool, so while two or more cells run at once,
+    OpenBLAS runs one thread process-wide. Cells run on pool threads, so
+    each cell's train starts no threads of its own.
 
     Rows come in grid order and are identical for any worker count. A
     failing cell does not stop the others; once they finish, SweepFailed
@@ -230,9 +225,7 @@ def run_sweep(
     if out is not None:
         out.mkdir(parents=True, exist_ok=True)
 
-    workers = min(threads, len(cells))
-    with (_one_blas_thread() if workers > 1 else contextlib.nullcontext(),
-          ThreadPoolExecutor(max_workers=workers) as pool):
+    with _pool(min(threads, len(cells))) as pool:
         futures = [pool.submit(_run_cell, config, c, out) for c in cells]
     failed = [(c, e) for c, f in zip(cells, futures) if (e := f.exception()) is not None]
     if failed:

@@ -59,8 +59,6 @@ def _render_nucleus(
     y1 = min(h, int(np.ceil(cy)) + reach + 1)
     x0 = max(0, int(np.floor(cx)) - reach)
     x1 = min(w, int(np.ceil(cx)) + reach + 1)
-    if y0 >= y1 or x0 >= x1:
-        return
     yy, xx = np.mgrid[y0:y1, x0:x1]
     dy = yy - cy
     dx = xx - cx

@@ -94,8 +94,7 @@ def clahe(image: Image, cfg: PreprocessConfig) -> Image:
         hi = np.searchsorted(centers, coords).clip(0, len(centers) - 1)
         lo = np.maximum(hi - 1, 0)
         span = centers[hi] - centers[lo]
-        with np.errstate(invalid="ignore", divide="ignore"):
-            w = np.where(span > 0, (coords - centers[lo]) / np.where(span > 0, span, 1), 0.0)
+        w = np.where(span > 0, (coords - centers[lo]) / np.where(span > 0, span, 1), 0.0)
         return lo, hi, np.clip(w, 0.0, 1.0)
 
     r_lo, r_hi, wy = axis_blend(np.arange(image.height, dtype=np.float64), y_centers)

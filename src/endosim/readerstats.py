@@ -8,6 +8,7 @@ continuity correction). The positive class is "neoplastic".
 
 from __future__ import annotations
 
+import bisect
 import csv
 import io
 import math
@@ -166,17 +167,19 @@ def unpaired_t_test(group_a: list[float], group_b: list[float]) -> TTestResult:
 def _tost_power(n: int, p_assumed: float, limit: float, alpha: float) -> float:
     """Power of the proportion TOST at zero true difference, sample size n
     per arm, binary-data variance p(1-p) and no continuity correction."""
-    se = math.sqrt(2.0 * p_assumed * (1.0 - p_assumed) / n)
+    # limit / se, with the square root of n outside: at a subnormal p the
+    # variance over n would underflow to 0
+    z = limit / math.sqrt(2.0 * p_assumed * (1.0 - p_assumed)) * math.sqrt(n)
     z_alpha = stats.norm.ppf(1.0 - alpha)
-    return max(0.0, 2.0 * stats.norm.cdf(limit / se - z_alpha) - 1.0)
+    return max(0.0, 2.0 * stats.norm.cdf(z - z_alpha) - 1.0)
 
 
 def equivalence_sample_size(
     power: float, alpha: float, equivalence_limit: float, p_assumed: float
 ) -> int:
-    """Smallest per-arm n whose TOST power at zero difference reaches the
-    requested power (monotone in n; verified by direct scan around the
-    closed-form start point)."""
+    """Smallest per-arm n >= 2 whose TOST power at zero difference reaches
+    the requested power. The power grows with n, so n is found by bisecting
+    [2, 1e9]; a ValueError says so when n = 1e9 does not reach it."""
     for name, value in (
         ("power", power),
         ("alpha", alpha),
@@ -186,21 +189,13 @@ def equivalence_sample_size(
         if not (0.0 < value < 1.0):
             raise ValueError(f"{name} must lie strictly between 0 and 1")
 
-    # at z <= 0 every n reaches the power, and the scan starts from n = 2
-    z = max(0.0, float(stats.norm.ppf(1.0 - alpha) + stats.norm.ppf((1.0 + power) / 2.0)))
-    # the closed-form n times limit**2, bounded first: limit**2 can underflow to 0
-    start = 2.0 * p_assumed * (1.0 - p_assumed) * (z * z)
-    if not start <= 1e9 * equivalence_limit**2:
+    def reaches(n: int) -> bool:
+        return _tost_power(n, p_assumed, equivalence_limit, alpha) >= power
+
+    if not reaches(10**9):
         raise ValueError("equivalence limit too small; required n exceeds 1e9")
-    n = max(2, math.ceil(start / equivalence_limit**2)) if start else 2
-    while 2 < n <= 10**9 and (
-            _tost_power(n - 1, p_assumed, equivalence_limit, alpha) >= power):
-        n -= 1
-    while n <= 10**9 and _tost_power(n, p_assumed, equivalence_limit, alpha) < power:
-        n += 1
-    if n > 10**9:
-        raise ValueError("equivalence limit too small; required n exceeds 1e9")
-    return n
+    # the first n in [2, 1e9) that reaches the power, else 1e9
+    return 2 + bisect.bisect_left(range(2, 10**9), True, key=reaches)
 
 
 METRIC_NAMES = ("accuracy", "sensitivity", "specificity")

@@ -340,10 +340,10 @@ def loss_and_grads(
     model.parameters().
 
     The batch is cut into _shards, each run by _shard_grads, and their
-    squared errors and gradients are summed in shard order. With a pool,
-    each workspace (fresh ones by default) takes one task of contiguous
-    shards, run in the caller's context so that its numpy error state
-    holds; without one, every shard runs here in the first workspace.
+    squared errors and gradients are summed in shard order. Each workspace
+    (a fresh one by default) takes one task of contiguous shards. Two or
+    more tasks run on the pool, in the caller's context so that its numpy
+    error state holds; a single task, or any without a pool, runs here.
     """
     n, _, h, w = lr_batch.shape
     if target.shape != (n, model.layer3.out_channels, h, w):
@@ -355,12 +355,13 @@ def loss_and_grads(
         return [_shard_grads(model, lr_batch[s], target[s], scale, ws) for s in part]
 
     workspaces = workspaces or [_Workspace()]
-    if pool is None or len(shards) == 1:
+    per = -(-len(shards) // len(workspaces))
+    tasks = list(zip(workspaces, range(0, len(shards), per)))
+    if pool is None or len(tasks) == 1:
         results = run(workspaces[0], shards)
     else:
-        per = -(-len(shards) // len(workspaces))
         futures = [pool.submit(contextvars.copy_context().run, run, ws, shards[i : i + per])
-                   for ws, i in zip(workspaces, range(0, len(shards), per))]
+                   for ws, i in tasks]
         results = [r for f in futures for r in f.result()]
     sse = sum(shard_sse for shard_sse, _ in results)
     grads = [functools.reduce(np.add, g) for g in zip(*(g for _, g in results))]
@@ -522,15 +523,17 @@ def _openblas_thread_fns() -> tuple:
 
 
 @contextlib.contextmanager
-def _one_blas_thread():
-    """Hold every OpenBLAS that _openblas_thread_fns finds at one thread, so
-    that threads of ours do not compete with BLAS threads for the cores,
-    and restore the previous counts on exit, also on error. The cap is
-    process-wide: two holders overlapping in one process would restore
-    each other's counts. With no OpenBLAS to cap, a RuntimeWarning names
-    numpy's BLAS and nothing is capped."""
-    blas = _openblas_thread_fns()
-    if not blas:
+def _pool(workers: int):
+    """A ThreadPoolExecutor of workers threads, which start at the first
+    submits. With two or more workers, every OpenBLAS that
+    _openblas_thread_fns finds is held at one thread until the pool is shut
+    down, so that our threads do not compete with BLAS threads for the
+    cores; the previous counts come back on exit, also on error. The cap is
+    process-wide: two pools of two or more overlapping in one process would
+    restore each other's counts. With no OpenBLAS to cap, a RuntimeWarning
+    names numpy's BLAS and nothing is capped."""
+    blas = _openblas_thread_fns() if workers >= 2 else ()
+    if workers >= 2 and not blas:
         name = np.__config__.CONFIG.get("Build Dependencies", {}).get("blas", {}).get("name")
         warnings.warn(f"cannot cap the threads of numpy's BLAS ({name}); "
                       "concurrent threads share them", RuntimeWarning, stacklevel=4)
@@ -538,27 +541,11 @@ def _one_blas_thread():
     try:
         for _, set_ in blas:
             set_(1)
-        yield
+        with ThreadPoolExecutor(workers) as pool:
+            yield pool
     finally:
         for (_, set_), count in zip(blas, old):
             set_(count)
-
-
-@contextlib.contextmanager
-def _shard_pool(cfg: TrainConfig):
-    """(workspaces, pool) for train's steps: on the main thread with OpenBLAS
-    to cap, min(cores, shards of a full batch) threads, one workspace each,
-    with OpenBLAS at one thread until the pool is shut down. Elsewhere (sweep
-    cells run on pool threads) no thread is started: one workspace, no pool."""
-    workers = 1
-    if threading.current_thread() is threading.main_thread() and _openblas_thread_fns():
-        shards = _shards(cfg.batch_size, cfg.patch_size, cfg.patch_size)
-        workers = min(len(os.sched_getaffinity(0)), len(shards))
-    if workers == 1:
-        yield [_Workspace()], None
-        return
-    with _one_blas_thread(), ThreadPoolExecutor(workers) as pool:
-        yield [_Workspace() for _ in range(workers)], pool
 
 
 # a diverging run's non-finite Adam update meets a loss check that raises
@@ -577,8 +564,10 @@ def train(
     validation MSE seen, including the initialized model. A batch loss or
     validation MSE that is NaN or infinite raises TrainingDiverged.
 
-    On the main thread, each step's shards run on a pool (_shard_pool),
-    and OpenBLAS is held at one thread process-wide for the epochs. The
+    On the main thread with OpenBLAS to cap, each step's shards run on a
+    _pool of min(cores, shards of a full batch) threads, with OpenBLAS held
+    at one thread process-wide for the epochs. Elsewhere (sweep cells run
+    on pool threads) the shards run serially and no thread is started. The
     result is the same bytes on any thread.
     """
     if not pairs or not val_pairs:
@@ -599,7 +588,12 @@ def train(
     best_params = params
     history.rows.append((0, float("nan"), best_val))
 
-    with _shard_pool(cfg) as (workspaces, pool):
+    workers = 1
+    if threading.current_thread() is threading.main_thread() and _openblas_thread_fns():
+        shards = _shards(cfg.batch_size, cfg.patch_size, cfg.patch_size)
+        workers = min(len(os.sched_getaffinity(0)), len(shards))
+    workspaces = [_Workspace() for _ in range(workers)]
+    with _pool(workers) as pool:
         for epoch in range(1, cfg.epochs + 1):
             patches: list[tuple[np.ndarray, np.ndarray]] = []
             for lr_img, hr_img in pairs:

@@ -1,5 +1,6 @@
 import argparse
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -119,6 +120,67 @@ def test_infinite_number_is_data_error(tmp_path, capsys, argv):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert not names["OUT"].exists()
+
+
+SQUARE, WIDE = Image(np.full((16, 16), 0.5)), Image(np.full((16, 20), 0.5))
+
+
+@pytest.mark.parametrize("argv, files, message", [
+    (["phantom", "--width", "0", "OUT"], {}, "canvas must be at least 1x1"),
+    (["phantom", "--density", "-1", "OUT"], {},
+     "density and noise sd must be non-negative"),
+    (["preprocess", "--tiles", "0", "8", "in.pgm", "OUT"], {"in.pgm": SQUARE},
+     "tile grid must be at least 1x1"),
+    (["degrade", "--pixel-size", "0", "in.pgm", "OUT"], {"in.pgm": SQUARE},
+     "pixel size must be positive"),
+    (["metrics", "in.pgm", "in.pgm"], {"in.pgm": b"P5 a 1 255\n\x33"},
+     "non-numeric PGM header field: invalid literal for int() with base 10: b'a'"),
+    (["train", "--batch-size", "0", "data", "OUT"], {}, "batch_size must be >= 1"),
+    (["train", "data", "OUT"], {"data/train/a_lr.pgm": SQUARE},
+     "missing HR mate for a_lr.pgm"),
+    (["train", "data", "OUT"], {"data/train": None},
+     "no *_lr.pgm/*_hr.pgm pairs in data/train"),
+    (["train", "data", "OUT"],
+     {"data/train/a_lr.pgm": SQUARE, "data/train/a_hr.pgm": WIDE,
+      "data/val/a_lr.pgm": SQUARE, "data/val/a_hr.pgm": SQUARE},
+     "lr/hr pair dimensions differ"),
+    (["infer", "w", "in.pgm", "OUT"], {"w": b"SRCW\x01\x00\x00\x00", "in.pgm": SQUARE},
+     "truncated weights file"),
+    (["readerstats", "--reads", "reads.csv", "--out", "OUT"],
+     {"reads.csv": "image_id,reader_id,modality,call,confidence,truth\ni1,r1,HR\n"},
+     "ragged CSV row"),
+    (["sweep", "--config", "s.json", "--out", "OUT"],
+     {"s.json": '{"phantom_specs": [{}], "val_count": 0}'}, "dataset counts must be >= 1"),
+    (["sweep", "--config", "s.json", "--out", "OUT"],
+     {"s.json": '{"phantom_specs": [{"nucleus_radius_px": 5}]}'},
+     "invalid phantom spec: cannot unpack non-iterable int object"),
+    (["sweep", "--config", "s.json", "--out", "OUT"],
+     {"s.json": '{"phantom_specs": [{"nucleus_intensity": [0.6, 1.5]}]}'},
+     "nucleus intensity range must lie in (0, 1]"),
+    (["sweep", "--config", "s.json", "--out", "OUT"],
+     {"s.json": '{"phantom_specs": [{"eccentricity_max": 1}]}'},
+     "eccentricity_max must lie in [0, 1)"),
+])
+def test_bad_input_is_one_line_data_error(tmp_path, monkeypatch, capsys, argv, files,
+                                          message):
+    # files maps a path to an image, raw bytes, text, or None for an empty
+    # directory; paths are relative, so messages naming one are fixed
+    monkeypatch.chdir(tmp_path)
+    for name, content in files.items():
+        path = Path(name)
+        path.parent.mkdir(parents=True, exist_ok=True)
+        if content is None:
+            path.mkdir()
+        elif isinstance(content, Image):
+            path.write_bytes(save_pgm(content))
+        elif isinstance(content, bytes):
+            path.write_bytes(content)
+        else:
+            path.write_text(content)
+    capsys.readouterr()
+    assert dispatch(argv) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not Path("OUT").exists()
 
 
 @pytest.mark.parametrize("module, function, argv, expected", [

@@ -26,6 +26,10 @@ class TestImage:
         with pytest.raises(ImageError, match=r"\[0, 1\]"):
             Image(data)
 
+    def test_not_2d_rejected(self):
+        with pytest.raises(ImageError, match=r"non-empty 2-D array, got shape \(3,\)"):
+            Image(np.full(3, 0.5))
+
     def test_caller_writes_do_not_reach_the_image(self):
         data = np.full((3, 3), 0.25)
         view = data[1:]
@@ -85,6 +89,7 @@ class TestLoadPgm:
         (b"P5 1 1 #c", "truncated PGM header"),  # comment runs to EOF
         (b"P5 1 1 255", "missing whitespace after maxval"),
         (b"P5 1 1 255#\n\x33", "missing whitespace after maxval"),
+        (b"P5 a 1 255\n\x33", "non-numeric PGM header field"),
     ])
     def test_header_errors(self, blob, message):
         with pytest.raises(ImageError, match=message):

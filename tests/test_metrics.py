@@ -102,6 +102,10 @@ class TestSsim:
             psnr(Image(a), Image(b)) - psnr(Image(a[:, ::-1]), Image(b[:, ::-1]))
         ) <= 1e-12
 
+    def test_dimension_mismatch(self):
+        with pytest.raises(ValueError, match="ssim requires equal image dimensions"):
+            ssim(Image(np.zeros((16, 16))), Image(np.zeros((16, 17))))
+
     def test_window_too_large(self):
         with pytest.raises(ValueError):
             ssim(Image(np.zeros((8, 8))), Image(np.zeros((8, 8))))

@@ -6,6 +6,7 @@ from scipy import stats
 
 from endosim.readerstats import (
     ReadRecord,
+    _tost_power,
     equivalence_sample_size,
     parse_records,
     report_csv_tables,
@@ -46,6 +47,10 @@ class TestParseRecords:
     def test_header_required(self):
         with pytest.raises(ValueError):
             parse_records("a,b,c\n1,2,3\n")
+
+    def test_ragged_row_rejected(self):
+        with pytest.raises(ValueError, match="ragged CSV row"):
+            parse_records(self.CSV + "i2,r1,HR\n")
 
     def test_duplicate_key_rejected(self):
         dup = self.CSV + "i1,r1,HR,neoplastic,low,neoplastic\n"
@@ -211,9 +216,28 @@ class TestEquivalenceSampleSize:
         with pytest.raises(ValueError):
             equivalence_sample_size(0.8, 0.0, 0.15, 0.7)
 
+    @pytest.mark.parametrize("power, alpha, limit, p_assumed", [
+        (0.8, 0.05, 0.4, 0.5), (0.9, 0.05, 0.5, 0.7), (0.8, 0.2, 0.45, 0.1),
+        (0.95, 0.01, 0.6, 0.5), (0.5, 0.3, 0.3, 0.4), (0.8, 0.05, 0.9, 0.5),
+    ])
+    def test_first_n_reaching_the_power(self, power, alpha, limit, p_assumed):
+        # a scan up from n = 2 stops at the same n: it reaches the power and
+        # n - 1 does not
+        n = equivalence_sample_size(power, alpha, limit, p_assumed)
+        first = next(m for m in range(2, 100)
+                     if _tost_power(m, p_assumed, limit, alpha) >= power)
+        assert n == first > 2
+
     def test_required_n_above_1e9_rejected(self):
         with pytest.raises(ValueError, match="exceeds 1e9"):
             equivalence_sample_size(0.8, 0.05, 1e-6, 0.5)
+
+    def test_subnormal_p_does_not_divide_by_zero(self):
+        # 2 p (1 - p) / n underflows to 0 from n = 4 at p = 5e-324; the
+        # power must not divide by that standard error
+        assert equivalence_sample_size(0.8, 0.05, 0.1, 5e-324) == 2
+        with pytest.raises(ValueError, match="exceeds 1e9"):
+            equivalence_sample_size(1e-300, 0.4998, 1e-300, 5e-324)
 
     def test_nonpositive_z_sum_needs_the_minimum_n(self):
         # z_alpha + z_power < 0: every n reaches the power, so the closed form

@@ -144,6 +144,14 @@ class TestConv2d:
         with pytest.raises(ValueError):
             ConvLayer(kernel=np.ones((1, 1, 2, 2)), bias=np.zeros(1))
 
+    @pytest.mark.parametrize("kernel_shape, bias_len, message", [
+        ((1, 1, 3, 5), 1, r"bad kernel shape \(1, 1, 3, 5\)"),
+        ((2, 1, 3, 3), 1, "bias length must match output channel count"),
+    ])
+    def test_malformed_layer_rejected(self, kernel_shape, bias_len, message):
+        with pytest.raises(ValueError, match=message):
+            ConvLayer(kernel=np.ones(kernel_shape), bias=np.zeros(bias_len))
+
 
 def brute_force_param_grads(x, grad_out, k):
     n, c, h, w = x.shape
@@ -278,8 +286,17 @@ class TestMseLoss:
         expected = float(np.sum((a - b) ** 2)) / a.size
         assert abs(mse_loss(a, b) - expected) / expected <= 1e-12
 
+    def test_shape_mismatch(self):
+        with pytest.raises(ValueError, match="mse_loss requires matching shapes"):
+            mse_loss(np.zeros((1, 1, 4, 4)), np.zeros((1, 1, 4, 5)))
+
 
 class TestBackward:
+    def test_shape_mismatch(self):
+        m = micro_model(np.random.default_rng(8))
+        with pytest.raises(ValueError, match="loss_and_grads requires matching shapes"):
+            loss_and_grads(m, np.zeros((2, 1, 4, 4)), np.zeros((1, 1, 4, 4)))
+
     def test_zero_residual_zero_grads(self):
         rng = np.random.default_rng(8)
         m = micro_model(rng)
