@@ -81,7 +81,7 @@ class SweepConfig:
             for cell_idx, value in enumerate(getattr(self, values)):
                 try:
                     cfg = DegradationConfig(**{**baseline, field: value})
-                except (TypeError, ValueError) as exc:
+                except (OverflowError, TypeError, ValueError) as exc:
                     raise ValueError(
                         f"invalid sweep cell {axis}[{cell_idx}]={value}: {exc}"
                     ) from exc
@@ -251,7 +251,8 @@ def _build_config(cls: type, doc: dict, what: str, **nested):
     """Build the dataclass cls from doc, keyed by field name or _JSON_KEYS
     entry, with lists as tuples and the already built nested configs in
     place of their entries. An unknown key, a non-int in a field annotated
-    int, or a TypeError from cls (a wrong type) becomes a ValueError naming what."""
+    int, or a TypeError or OverflowError from cls (a wrong type, an int past
+    the float range) becomes a ValueError naming what."""
     if not isinstance(doc, dict):
         raise ValueError(f"{what} must be a JSON object")
     names = {_JSON_KEYS.get(f.name, f.name): f.name for f in fields(cls)}
@@ -265,7 +266,7 @@ def _build_config(cls: type, doc: dict, what: str, **nested):
                              f"got {kwargs[f.name]!r}")
     try:
         return cls(**{**kwargs, **nested})
-    except TypeError as exc:
+    except (OverflowError, TypeError) as exc:
         raise ValueError(f"invalid {what}: {exc}") from exc
 
 

@@ -42,6 +42,9 @@ class PhantomSpec:
             raise ValueError("nucleus intensity range must lie in (0, 1]")
         if self.nuclei_per_megapixel < 0 or self.background_noise_sd < 0:
             raise ValueError("density and noise sd must be non-negative")
+        # generate_phantom rounds this nucleus count to an int
+        if not self.nuclei_per_megapixel * self.width * self.height / 1e6 < np.inf:
+            raise ValueError("density times canvas area must be finite")
         if not (0.0 <= self.eccentricity_max < 1.0):
             raise ValueError("eccentricity_max must lie in [0, 1)")
         if self.background_level + 3.0 * self.background_noise_sd >= i_lo:

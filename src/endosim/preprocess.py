@@ -36,8 +36,14 @@ class PreprocessConfig:
             raise ValueError("need at least 2 histogram bins")
 
 
+# the taps of a sigma near the float minimum are exp(-inf) = 0
+@np.errstate(over="ignore")
 def gaussian_kernel(sigma: float) -> np.ndarray:
     """1-D Gaussian taps truncated at radius ceil(4*sigma), sum 1."""
+    if sigma <= 0:
+        raise ValueError("sigma must be positive")
+    if not 4.0 * sigma < np.inf:
+        raise ValueError(f"kernel radius 4 * sigma = {4.0 * sigma} is not finite")
     radius = int(np.ceil(4.0 * sigma))
     x = np.arange(-radius, radius + 1, dtype=np.float64)
     k = np.exp(-0.5 * (x / sigma) ** 2)
@@ -46,8 +52,6 @@ def gaussian_kernel(sigma: float) -> np.ndarray:
 
 def gaussian_blur(image: Image, sigma_px: float) -> Image:
     """Separable Gaussian smoothing with mirror (symmetric) boundaries."""
-    if sigma_px <= 0:
-        raise ValueError("sigma must be positive")
     kernel = gaussian_kernel(sigma_px)
     out = correlate1d(image.data, kernel, axis=0, mode="reflect")
     out = correlate1d(out, kernel, axis=1, mode="reflect")

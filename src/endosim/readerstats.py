@@ -207,11 +207,6 @@ def study_report(records: list[ReadRecord]) -> dict:
     readers = sorted({r.reader_id for r in records})
     if len(readers) < 2:
         raise ValueError("study needs at least 2 readers")
-    reader_modalities = {(r.reader_id, r.modality) for r in records}
-    for reader in readers:
-        for modality in MODALITIES:
-            if (reader, modality) not in reader_modalities:
-                raise ValueError(f"reader {reader!r} has no {modality} reads")
 
     per_reader: dict[tuple[str, str, str], DiagnosticSummary] = {}
     strata = ("all", "high", "low")
@@ -222,6 +217,8 @@ def study_report(records: list[ReadRecord]) -> dict:
                     s = summarize(records, modality=modality, reader_id=reader,
                                   confidence=None if stratum == "all" else stratum)
                 except ValueError:
+                    if stratum == "all":
+                        raise ValueError(f"reader {reader!r} has no {modality} reads") from None
                     continue
                 per_reader[(reader, modality, stratum)] = s
 

@@ -229,20 +229,12 @@ def forward(
     """
     ws = _Workspace() if workspace is None else workspace
     l1, l2, l3 = model.layers
-    n, _, h, w = lr_batch.shape
-    dtype, slope = lr_batch.dtype, model.lrelu_slope
-
-    def act(name: str, c: int) -> np.ndarray:
-        # laid out as conv2d returns its result
-        return ws.get(name, (c, n, h, w), dtype).transpose(1, 0, 2, 3)
-
-    cols = ws.get("A", (l1.in_channels * l1.k**2, n * h * w), dtype)
-    z = conv2d(lr_batch, l1, cols=_im2col(lr_batch, l1.k, out=cols),
-               out=act("B", l1.out_channels))
-    a = lrelu(z, slope, out=act("A", l1.out_channels))
-    z = conv2d(a, l2, out=act("B", l2.out_channels))
-    a = lrelu(z, slope, out=act("A", l2.out_channels))
-    return conv2d(a, l3, out=act("C", l3.out_channels))
+    x, slope = lr_batch, model.lrelu_slope
+    z = conv2d(x, l1, cols=ws.im2col("A", x, l1.k), out=ws.act("B", l1.out_channels, x))
+    a = lrelu(z, slope, out=ws.act("A", l1.out_channels, x))
+    z = conv2d(a, l2, out=ws.act("B", l2.out_channels, x))
+    a = lrelu(z, slope, out=ws.act("A", l2.out_channels, x))
+    return conv2d(a, l3, out=ws.act("C", l3.out_channels, x))
 
 
 def mse_loss(pred: np.ndarray, target: np.ndarray) -> float:
@@ -314,6 +306,17 @@ class _Workspace:
         self._arrays[name] = a
         return a[:size].reshape(shape)
 
+    def act(self, name: str, channels: int, like: np.ndarray) -> np.ndarray:
+        """NCHW view of (channels, N, H, W) memory for a batch shaped and
+        typed as like, laid out as conv2d returns its result."""
+        n, _, h, w = like.shape
+        return self.get(name, (channels, n, h, w), like.dtype).transpose(1, 0, 2, 3)
+
+    def im2col(self, name: str, x: np.ndarray, k: int) -> np.ndarray:
+        """_im2col(x, k) written into the named array."""
+        n, c, h, w = x.shape
+        return _im2col(x, k, out=self.get(name, (c * k * k, n * h * w), x.dtype))
+
 
 # pixels per training shard; a batch of smaller images puts several in one
 _SHARD_PIXELS = 2**14
@@ -368,7 +371,7 @@ def loss_and_grads(
     return sse / target.size, grads
 
 
-def _shard_grads(model: SrcnnModel, lr_batch: np.ndarray, target: np.ndarray,
+def _shard_grads(model: SrcnnModel, x: np.ndarray, target: np.ndarray,
                  scale: float, ws: _Workspace) -> tuple[float, list[np.ndarray]]:
     """One shard's part of loss_and_grads: the float64 sum of squared
     errors, and the gradients with dL/dpred = scale * (pred - target), where
@@ -379,30 +382,20 @@ def _shard_grads(model: SrcnnModel, lr_batch: np.ndarray, target: np.ndarray,
     a2 and dL/dz1 overwrites a1.
     """
     l1, l2, l3 = model.layers
-    n, _, h, w = lr_batch.shape
-    dtype = lr_batch.dtype
-
-    def cols(name: str, layer: ConvLayer, channels: int) -> np.ndarray:
-        return ws.get(name, (channels * layer.k**2, n * h * w), dtype)
-
-    def act(name: str, c: int) -> np.ndarray:
-        # laid out as conv2d returns its result
-        return ws.get(name, (c, n, h, w), dtype).transpose(1, 0, 2, 3)
-
-    cols1 = _im2col(lr_batch, l1.k, out=cols("cols1", l1, l1.in_channels))
+    cols1 = ws.im2col("cols1", x, l1.k)
     # z1 and z2 turn into a1 and a2 in place
-    a1 = conv2d(lr_batch, l1, cols=cols1, out=act("a1", l1.out_channels))
-    f1 = _lrelu_factor(a1, model.lrelu_slope, act("f1", l1.out_channels))
+    a1 = conv2d(x, l1, cols=cols1, out=ws.act("a1", l1.out_channels, x))
+    f1 = _lrelu_factor(a1, model.lrelu_slope, ws.act("f1", l1.out_channels, x))
     a1 *= f1
-    a2 = conv2d(a1, l2, out=act("a2", l2.out_channels))
-    f2 = _lrelu_factor(a2, model.lrelu_slope, act("f2", l2.out_channels))
+    a2 = conv2d(a1, l2, out=ws.act("a2", l2.out_channels, x))
+    f2 = _lrelu_factor(a2, model.lrelu_slope, ws.act("f2", l2.out_channels, x))
     a2 *= f2
     pred = conv2d(a2, l3)
     sse = float(np.sum(np.square(pred.astype(np.float64) - target)))
 
     g3 = scale * (pred - target)
-    g3 = g3.astype(dtype, copy=False)
-    cols3 = _im2col(g3, l3.k, out=cols("cols3", l3, l3.out_channels))
+    g3 = g3.astype(x.dtype, copy=False)
+    cols3 = ws.im2col("cols3", g3, l3.k)
     dw3, db3 = _conv_param_grads(a2, g3, l3, g_cols=cols3)
 
     g_z2 = conv2d(g3, _transpose_layer(l3), cols=cols3, out=a2)  # a2 is dead
@@ -411,7 +404,7 @@ def _shard_grads(model: SrcnnModel, lr_batch: np.ndarray, target: np.ndarray,
 
     g_z1 = conv2d(g_z2, _transpose_layer(l2), out=a1)  # a1 is dead
     g_z1 *= f1
-    dw1, db1 = _conv_param_grads(lr_batch, g_z1, l1, x_cols=cols1)
+    dw1, db1 = _conv_param_grads(x, g_z1, l1, x_cols=cols1)
 
     return sse, [dw1, db1, dw2, db2, dw3, db3]
 

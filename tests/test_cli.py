@@ -160,6 +160,25 @@ SQUARE, WIDE = Image(np.full((16, 16), 0.5)), Image(np.full((16, 20), 0.5))
     (["sweep", "--config", "s.json", "--out", "OUT"],
      {"s.json": '{"phantom_specs": [{"eccentricity_max": 1}]}'},
      "eccentricity_max must lie in [0, 1)"),
+    # finite flags whose derived counts and lengths are past the float range
+    (["phantom", "--width", "64", "--height", "64", "--density", "1e308", "OUT"], {},
+     "density times canvas area must be finite"),
+    (["preprocess", "--sigma", "1e308", "in.pgm", "OUT"], {"in.pgm": SQUARE},
+     "kernel radius 4 * sigma = inf is not finite"),
+    (["degrade", "--pixel-size", "5e-324", "in.pgm", "OUT"], {"in.pgm": SQUARE},
+     "probe lengths in pixels must be finite"),
+    (["sweep", "--config", "s.json", "--out", "OUT"],
+     {"s.json": '{"phantom_specs": [{}], "offset_um": [0], "pixel_size_um": 5e-324}'},
+     "invalid sweep cell offset[0]=0: probe lengths in pixels must be finite"),
+    (["sweep", "--config", "s.json", "--out", "OUT"],
+     {"s.json": '{"phantom_specs": [{"nuclei_per_megapixel": 1e308}]}'},
+     "density times canvas area must be finite"),
+    # an int past the float range overflows converting to one
+    (["phantom", "--width", str(10**309), "OUT"], {},
+     "invalid phantom options: int too large to convert to float"),
+    (["sweep", "--config", "s.json", "--out", "OUT"],
+     {"s.json": '{"phantom_specs": [{}], "offset_um": [%d]}' % 10**309},
+     f"invalid sweep cell offset[0]={10**309}: int too large to convert to float"),
 ])
 def test_bad_input_is_one_line_data_error(tmp_path, monkeypatch, capsys, argv, files,
                                           message):

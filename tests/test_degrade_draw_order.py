@@ -23,3 +23,16 @@ def test_offsets_replay_scalar_draws(d):
     assert [tuple(o) for o in pair.offsets.tolist()] == expected
     assert [smp.offset for smp in pair.samples] == expected
     assert rng.random() == replay.random()
+
+
+def test_zero_offset_draws_nothing():
+    """At d_px = 0 the offsets are int64 zeros and the generator is left
+    as it was."""
+    cfg = DegradationConfig(pixel_size_um=1.0, fiber_diameter_um=2.0,
+                            inter_fiber_distance_um=5.0, max_offset_um=0.4)
+    img = Image(np.random.default_rng(30).uniform(0, 1, (41, 53)))
+    rng = np.random.default_rng(33)
+    pair = degrade(img, cfg, rng)
+    assert pair.offsets.dtype == np.int64 and not pair.offsets.any()
+    assert pair.offsets.shape == grid_geometry(cfg, img.width, img.height).shape
+    assert rng.bit_generator.state == np.random.default_rng(33).bit_generator.state

@@ -63,6 +63,17 @@ class TestGaussianBlur:
         with pytest.raises(ValueError):
             gaussian_blur(Image(np.zeros((4, 4))), 0.0)
 
+    def test_rejects_sigma_with_infinite_radius(self):
+        # int(ceil(4 * sigma)) of an infinite radius would raise OverflowError
+        with pytest.raises(ValueError, match="kernel radius 4 \\* sigma = inf"):
+            gaussian_blur(Image(np.zeros((4, 4))), 1e308)
+
+    def test_subnormal_sigma_is_identity(self):
+        # the off-centre taps are exp(-inf) = 0, with no overflow warning
+        img = Image(np.random.default_rng(3).uniform(0, 1, (6, 5)))
+        np.testing.assert_array_equal(gaussian_kernel(5e-324), [0.0, 1.0, 0.0])
+        assert gaussian_blur(img, 1e-300) == img
+
 
 class TestClahe:
     def test_constant_maps_to_constant(self):

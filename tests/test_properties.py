@@ -2,17 +2,21 @@
 text, JSON or numbers from outside either returns or raises ValueError
 (ImageError is one), and emits no warning, whatever the input."""
 
+import contextlib
 import csv
 import io
 import json
 import struct
 import warnings
 
+import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from endosim.cli import dispatch
 from endosim.harness import sweep_config_from_json
-from endosim.image import load_pgm
+from endosim.image import Image, load_pgm, save_pgm
 from endosim.readerstats import (
     equivalence_sample_size,
     parse_records,
@@ -162,3 +166,57 @@ def build_sweep(doc):
 @given(st.one_of(sweep_docs, json_values))
 def test_sweep_config_from_json(doc):
     returns_or_raises_value_error(build_sweep, doc)
+
+
+# ---------------------------------------------------------------- CLI argv
+
+EXTREMES = ["nan", "inf", "-inf", "-1", "0", "5e-324", "1e-300", "1e308"]
+# per command: its float flags, then the rest of its argv split where the
+# drawn flags go; a flag given twice takes its last value
+FLOAT_FLAGS = {
+    "phantom": (["--density"], ["--width", "32", "--height", "32"], ["OUT"]),
+    "preprocess": (["--sigma", "--clip-limit"], [], ["IN", "OUT"]),
+    "degrade": (["--pixel-size", "--fiber-diameter", "--inter-fiber-distance",
+                 "--max-offset"], [], ["IN", "OUT"]),
+    "train": (["--learning-rate"], ["--epochs", "1", "--batch-size", "2",
+              "--patch-size", "8", "--patches-per-image", "2"], ["DATA", "OUT"]),
+    "samplesize": (["--power", "--alpha", "--limit", "--p"],
+                   ["--limit", "0.1", "--p", "0.5"], []),
+}
+
+
+@pytest.fixture(scope="module")
+def cli_paths(tmp_path_factory):
+    root = tmp_path_factory.mktemp("argv")
+    pgm = save_pgm(Image(np.random.default_rng(4).uniform(0, 1, (32, 32))))
+    (root / "in.pgm").write_bytes(pgm)
+    for split in ("train", "val"):
+        (root / "data" / split).mkdir(parents=True)
+        for tag in ("lr", "hr"):
+            (root / "data" / split / f"a_{tag}.pgm").write_bytes(pgm)
+    return {"IN": root / "in.pgm", "DATA": root / "data", "OUT": root / "out"}
+
+
+@st.composite
+def extreme_argv(draw):
+    command = draw(st.sampled_from(sorted(FLOAT_FLAGS)))
+    flags, before, after = FLOAT_FLAGS[command]
+    drawn = []
+    for flag in flags:
+        value = draw(st.sampled_from([None, *EXTREMES]))  # None keeps the default
+        if value is not None:  # "--flag=-inf": argparse reads a bare -inf as a flag
+            drawn.append(f"{flag}={value}")
+    return [command, *before, *drawn, *after]
+
+
+@settings(FUZZ, max_examples=400)
+@given(extreme_argv())
+def test_cli_float_flags_at_extremes(cli_paths, argv):
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = dispatch([str(cli_paths.get(a, a)) for a in argv])
+    if code == 0:
+        assert err.getvalue() == ""
+    else:  # no traceback: an exception other than a data error fails the test
+        assert code == 2 and err.getvalue().startswith("error: ")
+        assert err.getvalue().count("\n") == 1
