@@ -12,7 +12,8 @@ are derived through the configured pixel size (2 um by default).
 from __future__ import annotations
 
 import functools
-from dataclasses import astuple, dataclass
+import sys
+from dataclasses import astuple, dataclass, fields
 
 import numpy as np
 
@@ -36,6 +37,10 @@ class DegradationConfig:
     max_offset_um: float = 0.0
 
     def __post_init__(self) -> None:
+        # an int past the float range fails this exactly, as inf and NaN do
+        for f, v in zip(fields(self), astuple(self)):
+            if not abs(v) <= sys.float_info.max:
+                raise ValueError(f"{f.name} must be a finite float")
         if self.pixel_size_um <= 0:
             raise ValueError("pixel size must be positive")
         # every field in pixels, the pixel size too (NaN if infinite); Python
@@ -48,6 +53,9 @@ class DegradationConfig:
             raise ValueError("inter-fiber distance must be at least the fiber diameter")
         if self.max_offset_um < 0:
             raise ValueError("max offset must be non-negative")
+        # degrade's int64 tile origins plus offsets of up to 2**62 cannot wrap
+        if self.d_px > 2**62:
+            raise ValueError("max_offset_um must be at most 2**62 pixels")
 
     @property
     def m_px(self) -> int:

@@ -7,7 +7,8 @@ knob separating the two diagnostic classes.
 
 from __future__ import annotations
 
-from dataclasses import astuple, dataclass
+import sys
+from dataclasses import astuple, dataclass, fields
 
 import numpy as np
 
@@ -30,10 +31,11 @@ class PhantomSpec:
     def __post_init__(self) -> None:
         r_min, r_max = self.nucleus_radius_px
         i_lo, i_hi = self.nucleus_intensity
-        # every field is a number or a pair of numbers; unlike np.isfinite,
-        # abs() < inf takes an int too large for a float (a width)
-        if not all(abs(v) < np.inf for v in np.hstack(astuple(self))):
-            raise ValueError("phantom spec values must be finite")
+        # every field is a number or a pair of numbers; an int past the float
+        # range fails abs(v) <= max float exactly, as inf and NaN do
+        for f, value in zip(fields(self), astuple(self)):
+            if not all(abs(v) <= sys.float_info.max for v in np.ravel(value)):
+                raise ValueError(f"{f.name} must be a finite float")
         if self.width < 1 or self.height < 1:
             raise ValueError("canvas must be at least 1x1")
         if not (r_min >= 1.0 and r_max >= r_min):

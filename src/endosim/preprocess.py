@@ -8,6 +8,7 @@ redistributed uniformly over all bins in a single pass.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,8 +27,8 @@ class PreprocessConfig:
     clahe_bins: int = 256
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.gaussian_sigma_px < np.inf:
-            raise ValueError("sigma must be positive and finite")
+        if not 0.0 < self.gaussian_sigma_px <= sys.float_info.max:  # NaN fails too
+            raise ValueError("gaussian_sigma_px must be positive and finite")
         if not (0.0 < self.clahe_clip_limit <= 1.0):
             raise ValueError("clip limit must lie in (0, 1]")
         if min(self.clahe_tiles) < 1:

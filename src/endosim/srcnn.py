@@ -17,6 +17,7 @@ import ctypes
 import functools
 import os
 import struct
+import sys
 import threading
 import warnings
 from concurrent.futures import Executor, ThreadPoolExecutor
@@ -420,8 +421,8 @@ class TrainConfig:
     validation_interval: int = 1
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.learning_rate < np.inf:  # NaN fails this test too
-            raise ValueError("learning rate must be positive and finite")
+        if not 0.0 < self.learning_rate <= sys.float_info.max:  # NaN fails too
+            raise ValueError("learning_rate must be positive and finite")
         for name in ("epochs", "batch_size", "patch_size", "patches_per_image",
                      "validation_interval"):
             if getattr(self, name) < 1:
@@ -550,12 +551,12 @@ def train(
 ) -> tuple[SrcnnModel, TrainHistory]:
     """MSE training with Adam and best-validation checkpointing.
 
-    Per epoch: patches_per_image aligned random crops per training pair
-    (one crop window shared by the LR and HR members), shuffled, consumed
-    in batches of batch_size with one Adam step each; then a full-frame
-    validation pass. The returned model is the snapshot with the smallest
-    validation MSE seen, including the initialized model. A batch loss or
-    validation MSE that is NaN or infinite raises TrainingDiverged.
+    Per epoch: patches_per_image random crop windows per training pair (one
+    window shared by the LR and HR members), shuffled; each batch of
+    batch_size crops its own windows and takes one Adam step; then a
+    full-frame validation pass. The returned model is the one with the
+    smallest validation MSE seen, the initialized model included. A batch
+    loss or validation MSE that is NaN or infinite raises TrainingDiverged.
 
     On the main thread with OpenBLAS to cap, each step's shards run on a
     _pool of min(cores, shards of a full batch) threads, with OpenBLAS held
@@ -572,59 +573,45 @@ def train(
             raise ValueError("patch_size larger than a training image")
 
     rng = np.random.default_rng(cfg.seed)
-    model = init_model(cfg.seed)
-    params = model.parameters()
-    state = AdamState.zeros_like(params)
-
-    history = TrainHistory()
+    model = best = init_model(cfg.seed)
+    state = AdamState.zeros_like(model.parameters())
     best_val = _validation_mse(model, val_pairs, 0)
-    best_params = params
-    history.rows.append((0, float("nan"), best_val))
+    history = TrainHistory([(0, float("nan"), best_val)])
 
+    p = cfg.patch_size
     workers = 1
     if threading.current_thread() is threading.main_thread() and _openblas_thread_fns():
-        shards = _shards(cfg.batch_size, cfg.patch_size, cfg.patch_size)
-        workers = min(len(os.sched_getaffinity(0)), len(shards))
+        workers = min(len(os.sched_getaffinity(0)), len(_shards(cfg.batch_size, p, p)))
     workspaces = [_Workspace() for _ in range(workers)]
     with _pool(workers) as pool:
         for epoch in range(1, cfg.epochs + 1):
-            patches: list[tuple[np.ndarray, np.ndarray]] = []
-            for lr_img, hr_img in pairs:
-                for _ in range(cfg.patches_per_image):
-                    x0 = int(rng.integers(0, lr_img.width - cfg.patch_size + 1))
-                    y0 = int(rng.integers(0, lr_img.height - cfg.patch_size + 1))
-                    sl = (slice(y0, y0 + cfg.patch_size), slice(x0, x0 + cfg.patch_size))
-                    patches.append((lr_img.data[sl].astype(np.float32),
-                                    hr_img.data[sl].astype(np.float32)))
-            order = rng.permutation(len(patches))
-
-            epoch_loss = 0.0
-            n_batches = 0
+            # (lr, hr, x0, y0) per crop, pair by pair; x0 is drawn before y0
+            windows = [(lr, hr, int(rng.integers(0, lr.width - p + 1)),
+                        int(rng.integers(0, lr.height - p + 1)))
+                       for lr, hr in pairs for _ in range(cfg.patches_per_image)]
+            order = rng.permutation(len(windows))
+            losses: list[float] = []
             for start in range(0, len(order), cfg.batch_size):
-                idx = order[start : start + cfg.batch_size]
-                x = np.stack([patches[i][0] for i in idx])[:, None]
-                t = np.stack([patches[i][1] for i in idx])[:, None]
+                batch = [windows[i] for i in order[start : start + cfg.batch_size]]
+                x, t = (np.stack([pair[side].data[y0 : y0 + p, x0 : x0 + p]
+                                  for *pair, x0, y0 in batch]).astype(np.float32)[:, None]
+                        for side in (0, 1))
+                loss, grads = loss_and_grads(model, x, t, workspaces=workspaces, pool=pool)
+                losses.append(loss)
+                if not np.isfinite(loss):
+                    raise TrainingDiverged(f"training diverged: batch loss {loss} "
+                                           f"at epoch {epoch}, step {len(losses)}")
+                params, state = adam_step(model.parameters(), grads, state, cfg)
                 model = model.with_parameters(params)
-                batch_loss, grads = loss_and_grads(model, x, t, workspaces=workspaces,
-                                                   pool=pool)
-                n_batches += 1
-                if not np.isfinite(batch_loss):
-                    raise TrainingDiverged(f"training diverged: batch loss {batch_loss} "
-                                           f"at epoch {epoch}, step {n_batches}")
-                epoch_loss += batch_loss
-                params, state = adam_step(params, grads, state, cfg)
 
-            model = model.with_parameters(params)
+            val = float("nan")
             if epoch % cfg.validation_interval == 0 or epoch == cfg.epochs:
                 val = _validation_mse(model, val_pairs, epoch)
                 if val < best_val:
-                    best_val = val
-                    best_params = params
-            else:
-                val = float("nan")
-            history.rows.append((epoch, epoch_loss / n_batches, val))
+                    best, best_val = model, val
+            history.rows.append((epoch, sum(losses) / len(losses), val))
 
-    return model.with_parameters(best_params), history
+    return best, history
 
 
 # pixels per forward band; frames up to this size run as a single band

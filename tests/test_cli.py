@@ -173,12 +173,17 @@ SQUARE, WIDE = Image(np.full((16, 16), 0.5)), Image(np.full((16, 20), 0.5))
     (["sweep", "--config", "s.json", "--out", "OUT"],
      {"s.json": '{"phantom_specs": [{"nuclei_per_megapixel": 1e308}]}'},
      "density times canvas area must be finite"),
-    # an int past the float range overflows converting to one
-    (["phantom", "--width", str(10**309), "OUT"], {},
-     "invalid phantom options: int too large to convert to float"),
+    # an int past the float range is rejected by its config, which names the field
+    (["phantom", "--width", str(10**309), "OUT"], {}, "width must be a finite float"),
     (["sweep", "--config", "s.json", "--out", "OUT"],
      {"s.json": '{"phantom_specs": [{}], "offset_um": [%d]}' % 10**309},
-     f"invalid sweep cell offset[0]={10**309}: int too large to convert to float"),
+     f"invalid sweep cell offset[0]={10**309}: max_offset_um must be a finite float"),
+    # an offset past 2**62 pixels could wrap degrade's int64 ROI origins
+    (["degrade", "--max-offset", "3.7e19", "in.pgm", "OUT"], {"in.pgm": SQUARE},
+     "max_offset_um must be at most 2**62 pixels"),
+    (["sweep", "--config", "s.json", "--out", "OUT"],
+     {"s.json": '{"phantom_specs": [{}], "train": {"learning_rate": %d}}' % 10**309},
+     "learning_rate must be positive and finite"),
 ])
 def test_bad_input_is_one_line_data_error(tmp_path, monkeypatch, capsys, argv, files,
                                           message):

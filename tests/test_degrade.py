@@ -49,6 +49,29 @@ class TestConfig:
         with pytest.raises(ValueError):
             DegradationConfig(max_offset_um=-1)
 
+    @pytest.mark.parametrize("field", ["pixel_size_um", "fiber_diameter_um",
+                                       "inter_fiber_distance_um", "max_offset_um"])
+    def test_int_past_float_range_names_its_field(self, field):
+        with pytest.raises(ValueError, match=f"^{field} must be a finite float$"):
+            DegradationConfig(**{field: 10**309})
+
+    def test_offset_bound(self):
+        # at d = 2**62 pixels the offsets draw and clamp without int64 wrap-around
+        # (checked against exact Python ints); the next float up is rejected
+        image = Image(np.random.default_rng(2).uniform(0, 1, (12, 12)))
+        at = 2.0 * 2**62
+        cfg = DegradationConfig(max_offset_um=at)
+        assert cfg.d_px == 2**62
+        pair = degrade(image, cfg, np.random.default_rng(3))
+        h_max, s, m = 12 - cfg.m_px, cfg.s_px, cfg.m_px
+        for tile, offset, roi in zip(pair.tile_origins.tolist(), pair.offsets.tolist(),
+                                     pair.roi_origins.tolist()):
+            assert all(abs(o) <= 2**62 for o in offset)
+            assert roi == [min(max(t + (s - m) // 2 + o, 0), h_max)
+                           for t, o in zip(tile, offset)]
+        with pytest.raises(ValueError, match="max_offset_um must be at most"):
+            DegradationConfig(max_offset_um=np.nextafter(at, np.inf))
+
 
 class TestGridGeometry:
     def test_hand_geometry(self):

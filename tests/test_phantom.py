@@ -16,6 +16,14 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             PhantomSpec(nucleus_radius_px=(5.0, 3.0))
 
+    @pytest.mark.parametrize("field, value", [
+        ("width", 10**309), ("nuclei_per_megapixel", 10**309),
+        ("nucleus_radius_px", (3.0, 10**309)),
+    ])
+    def test_int_past_float_range_names_its_field(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be a finite float$"):
+            PhantomSpec(**{field: value})
+
 
 class TestGeneratePhantom:
     def test_empty_placement_is_constant(self):

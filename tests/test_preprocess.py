@@ -139,3 +139,7 @@ class TestPreprocessPipeline:
             PreprocessConfig(clahe_clip_limit=0.0)
         with pytest.raises(ValueError):
             PreprocessConfig(clahe_bins=1)
+
+    def test_sigma_past_float_range_names_its_field(self):
+        with pytest.raises(ValueError, match="^gaussian_sigma_px must be positive"):
+            PreprocessConfig(gaussian_sigma_px=10**309)

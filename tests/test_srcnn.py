@@ -439,9 +439,9 @@ def tiny_pairs(rng, n, size=20):
 
 
 class TestTrain:
-    @pytest.mark.parametrize("lr", [0.0, -1e-3, float("nan"), float("inf")])
+    @pytest.mark.parametrize("lr", [0.0, -1e-3, float("nan"), float("inf"), 10**309])
     def test_learning_rate_must_be_positive_and_finite(self, lr):
-        with pytest.raises(ValueError, match="learning rate"):
+        with pytest.raises(ValueError, match="learning_rate"):
             TrainConfig(learning_rate=lr)
 
     def test_never_worse_than_initial_checkpoint(self):
@@ -453,6 +453,54 @@ class TestTrain:
         model, history = train(pairs, pairs, cfg)
         init_val = history.rows[0][2]
         assert min(row[2] for row in history.rows) <= init_val
+
+    def test_returns_the_best_validated_model(self):
+        # lr 1e-2 overshoots: epoch 4 validates best and epoch 6 worse
+        pairs = tiny_pairs(np.random.default_rng(41), 2)
+        cfg = TrainConfig(epochs=6, patch_size=8, patches_per_image=2, batch_size=4,
+                          learning_rate=1e-2, seed=1, validation_interval=1)
+        model, history = train(pairs, pairs, cfg)
+        vals = [row[2] for row in history.rows]
+        assert 0 < int(np.argmin(vals)) < cfg.epochs  # neither the first nor the last
+        assert srcnn._validation_mse(model, pairs, 0) == min(vals)
+
+    def test_crop_draw_order(self, monkeypatch):
+        # per epoch: a window per pair and patch, x0 drawn before y0, then one
+        # permutation; each batch stacks its LR and HR crops as float32
+        real = srcnn.loss_and_grads
+        seen = []
+
+        def recording(model, x, t, **kwargs):
+            seen.append((x.copy(), t.copy()))
+            return real(model, x, t, **kwargs)
+
+        monkeypatch.setattr(srcnn, "loss_and_grads", recording)
+        rng = np.random.default_rng(31)
+        pairs = [(Image(rng.uniform(0, 1, shape)), Image(rng.uniform(0, 1, shape)))
+                 for shape in [(9, 14), (12, 10)]]
+        cfg = TrainConfig(epochs=2, patch_size=8, patches_per_image=3, batch_size=4,
+                          learning_rate=1e-3, seed=6)
+        train(pairs, pairs[:1], cfg)
+
+        replay, p, expected = np.random.default_rng(cfg.seed), cfg.patch_size, []
+        for _ in range(cfg.epochs):
+            crops = []
+            for lr_img, hr_img in pairs:
+                for _ in range(cfg.patches_per_image):
+                    x0 = replay.integers(0, lr_img.width - p + 1)
+                    y0 = replay.integers(0, lr_img.height - p + 1)
+                    window = (slice(y0, y0 + p), slice(x0, x0 + p))
+                    crops.append([lr_img.data[window], hr_img.data[window]])
+            order = replay.permutation(len(crops))
+            for start in range(0, len(order), cfg.batch_size):
+                idx = order[start : start + cfg.batch_size]
+                expected.append([np.array([crops[i][side] for i in idx], np.float32)[:, None]
+                                 for side in (0, 1)])
+        assert [len(x) for x, _ in seen] == [4, 2, 4, 2]
+        for (x, t), (ex, et) in zip(seen, expected):
+            assert x.dtype == t.dtype == np.float32
+            np.testing.assert_array_equal(x, ex)
+            np.testing.assert_array_equal(t, et)
 
     def test_seed_determinism(self):
         rng = np.random.default_rng(12)

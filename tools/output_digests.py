@@ -1,0 +1,115 @@
+"""Print a SHA-256 digest of every file a fixed set of endosim CLI runs
+writes, plus the stdout of `metrics` and `samplesize`, so that two source
+trees can be compared for byte identity:
+
+    PYTHONPATH=src python tools/output_digests.py > new.txt
+    PYTHONPATH=/path/to/other/checkout/src python tools/output_digests.py > old.txt
+    diff old.txt new.txt
+
+Every command runs as `python -m endosim.cli` in a temporary directory with
+the caller's environment, so the endosim found on PYTHONPATH is the one
+measured. The runs cover phantom, preprocess, degrade (max offset 0 and 2,
+with the sparse frame and the sample log), train with a history on 8x64x64
+batches (two shards, so train's thread pool runs on the main thread), infer,
+metrics, profile, a 4-cell sweep at --threads 1 and 2, readerstats and
+samplesize. A sweep's timings.csv holds wall times and is left out. The
+whole run takes well under a minute on two cores.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+
+# the caller's environment, with PYTHONPATH made absolute for the temporary cwd
+ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(
+    os.path.abspath(p) for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p)}
+
+
+def endosim(cwd: Path, *argv: str) -> str:
+    """Run one CLI command in cwd and return its stdout; a non-zero exit
+    stops the script with the command's stderr."""
+    proc = subprocess.run([sys.executable, "-m", "endosim.cli", *argv], cwd=cwd,
+                          env=ENV, capture_output=True, text=True)
+    if proc.returncode != 0:
+        sys.exit(f"endosim {' '.join(argv)} exited {proc.returncode}:\n{proc.stderr}")
+    return proc.stdout
+
+
+def reads_csv() -> str:
+    """Two readers, each reading six images in both modalities."""
+    rows = ["image_id,reader_id,modality,call,confidence,truth"]
+    for r, reader in enumerate(("r1", "r2")):
+        for i in range(6):
+            truth = "neoplastic" if i % 2 else "non_neoplastic"
+            call = truth if (i + r) % 3 else "neoplastic"
+            for modality in ("HR", "SR"):
+                confidence = "high" if (i + r) % 2 else "low"
+                rows.append(f"img{i},{reader},{modality},{call},{confidence},{truth}")
+    return "\n".join(rows) + "\n"
+
+
+SWEEP = {
+    "phantom_specs": [{"width": 64, "height": 64}],
+    "train_count": 2, "val_count": 1, "test_count": 2,
+    "offset_um": [0, 2], "inter_fiber_distance_um": [8, 12],
+    "train": {"epochs": 2, "patch_size": 32, "patches_per_image": 2,
+              "batch_size": 2, "learning_rate": 1e-3},
+}
+
+
+def run(root: Path) -> list[str]:
+    stdout = []
+    endosim(root, "phantom", "--width", "96", "--height", "80", "--seed", "1", "hr.pgm")
+    endosim(root, "preprocess", "hr.pgm", "pre.pgm")
+    for d in ("0", "2"):
+        endosim(root, "degrade", "--max-offset", d, "--emit-sparse", f"sparse{d}.pgm",
+                "--emit-samples", f"samples{d}.csv", "hr.pgm", f"lr{d}.pgm")
+
+    # two non-square pairs of 4 patches each: one batch of 8x64x64 per epoch
+    for split, seeds in (("train", (2, 3)), ("val", (4,))):
+        (root / "data" / split).mkdir(parents=True)
+        for seed in seeds:
+            stem = f"data/{split}/p{seed}"
+            endosim(root, "phantom", "--width", "80", "--height", "72", "--seed", str(seed),
+                    f"{stem}_hr.pgm")
+            endosim(root, "degrade", "--max-offset", "2", "--seed", str(seed),
+                    f"{stem}_hr.pgm", f"{stem}_lr.pgm")
+    endosim(root, "train", "--epochs", "2", "--batch-size", "8", "--patch-size", "64",
+            "--patches-per-image", "4", "--learning-rate", "1e-3",
+            "--history", "history.csv", "data", "model.weights")
+    endosim(root, "infer", "model.weights", "lr2.pgm", "sr.pgm")
+    stdout.append("metrics: " + endosim(root, "metrics", "hr.pgm", "sr.pgm").strip())
+    endosim(root, "profile", "--row", "40", "sr.pgm", "profile.csv")
+
+    (root / "sweep.json").write_text(json.dumps(SWEEP))
+    for threads in ("1", "2"):
+        endosim(root, "sweep", "--config", "sweep.json", "--out", f"sweep{threads}",
+                "--threads", threads)
+        (root / f"sweep{threads}" / "timings.csv").unlink()
+
+    (root / "reads.csv").write_text(reads_csv())
+    endosim(root, "readerstats", "--reads", "reads.csv", "--out", "report")
+    stdout.append("samplesize: " + endosim(root, "samplesize", "--limit", "0.1",
+                                           "--p", "0.8").strip())
+    return stdout
+
+
+def main() -> None:
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        stdout = run(root)
+        for path in sorted(p for p in root.rglob("*") if p.is_file()):
+            digest = hashlib.sha256(path.read_bytes()).hexdigest()
+            print(f"{digest}  {path.relative_to(root).as_posix()}")
+    print("\n".join(stdout))
+
+
+if __name__ == "__main__":
+    main()
