@@ -185,14 +185,13 @@ def _cmd_degrade(args: argparse.Namespace) -> int:
     if args.emit_sparse:
         _atomic_write(args.emit_sparse, save_pgm(pair.sparse))
     if args.emit_samples:
-        # hand-formatted: csv.writer takes about 45% longer on a 1280x960 frame
-        lines = ["tile_row,tile_col,roi_row,roi_col,dx,dy,mean"]
-        for (ty, tx), (ry, rx), (dy, dx), mean in zip(
-            pair.tile_origins.tolist(), pair.roi_origins.tolist(),
-            pair.offsets.tolist(), pair.means.tolist(),
-        ):
-            lines.append(f"{ty},{tx},{ry},{rx},{dx},{dy},{mean:.9g}")
-        _atomic_write(args.emit_samples, ("\n".join(lines) + "\n").encode())
+        # one format map over column lists (offsets are (dy, dx)); on a 1280x960
+        # frame a per-row f-string loop takes about 75% longer, csv.writer 130%
+        columns = (*pair.tile_origins.T.tolist(), *pair.roi_origins.T.tolist(),
+                   *pair.offsets.T[::-1].tolist(), pair.means.tolist())
+        rows = map("{},{},{},{},{},{},{:.9g}".format, *columns)
+        text = "\n".join(["tile_row,tile_col,roi_row,roi_col,dx,dy,mean", *rows]) + "\n"
+        _atomic_write(args.emit_samples, text.encode())
     return EXIT_OK
 
 

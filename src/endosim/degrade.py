@@ -93,20 +93,10 @@ class DegradedPair:
     @functools.cached_property
     def samples(self) -> list[FiberSample]:
         """The same log as one FiberSample per fiber, built on first access."""
-        return [
-            FiberSample(
-                tile_origin=tuple(t),
-                roi_origin=tuple(r),
-                mean_value=mean,
-                offset=tuple(o),
-            )
-            for t, r, o, mean in zip(
-                self.tile_origins.tolist(),
-                self.roi_origins.tolist(),
-                self.offsets.tolist(),
-                self.means.tolist(),
-            )
-        ]
+        return [FiberSample(tile_origin=tuple(t), roi_origin=tuple(r), mean_value=mean,
+                            offset=tuple(o))
+                for t, r, o, mean in zip(self.tile_origins.tolist(), self.roi_origins.tolist(),
+                                         self.offsets.tolist(), self.means.tolist())]
 
 
 def grid_geometry(cfg: DegradationConfig, width: int, height: int) -> np.ndarray:

@@ -12,7 +12,7 @@ import sys
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.ndimage import correlate1d
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .image import Image
 
@@ -52,11 +52,13 @@ def gaussian_kernel(sigma: float) -> np.ndarray:
 
 
 def gaussian_blur(image: Image, sigma_px: float) -> Image:
-    """Separable Gaussian smoothing with mirror (symmetric) boundaries."""
+    """Separable Gaussian smoothing with mirror (symmetric) boundaries, one
+    window product per axis; a pad wider than the image reflects again."""
     kernel = gaussian_kernel(sigma_px)
-    out = correlate1d(image.data, kernel, axis=0, mode="reflect")
-    out = correlate1d(out, kernel, axis=1, mode="reflect")
-    return Image(np.clip(out, 0.0, 1.0))
+    out = np.pad(image.data, len(kernel) // 2, mode="symmetric")
+    out = sliding_window_view(out, len(kernel), axis=0) @ kernel
+    out = sliding_window_view(out, len(kernel), axis=1) @ kernel
+    return Image(np.clip(out, 0.0, 1.0, out=out))
 
 
 def _tile_edges(extent: int, count: int) -> np.ndarray:

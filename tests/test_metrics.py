@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from endosim.image import Image
-from endosim.metrics import SSIM_C1, SSIM_C2, SSIM_SIGMA, SSIM_WINDOW, psnr, ssim
+from endosim.metrics import SSIM_C1, SSIM_C2, SSIM_SIGMA, SSIM_WINDOW, _local_mean, psnr, ssim
+from endosim.preprocess import gaussian_blur
+from endosim.srcnn import _pool
 
 
 def ssim_window_2d():
@@ -36,6 +38,15 @@ def brute_force_ssim(x, y):
                 / ((mx * mx + my * my + c1) * (vx + vy + c2))
             )
     return float(np.mean(vals))
+
+
+def brute_force_local_mean(a):
+    """The 2-D window's weighted sum at every fully-interior position."""
+    w = ssim_window_2d()
+    k = SSIM_WINDOW
+    h, wd = a.shape
+    return np.array([[np.sum(w * a[i : i + k, j : j + k]) for j in range(wd - k + 1)]
+                     for i in range(h - k + 1)])
 
 
 class TestPsnr:
@@ -85,6 +96,11 @@ class TestSsim:
             y = rng.uniform(0, 1, (16, 16))
             assert abs(ssim(Image(x), Image(y)) - brute_force_ssim(x, y)) <= 1e-9
 
+    def test_smallest_image_matches_sliding_window_oracle(self):
+        rng = np.random.default_rng(6)
+        x, y = rng.uniform(0, 1, (2, SSIM_WINDOW, SSIM_WINDOW))
+        assert abs(ssim(Image(x), Image(y)) - brute_force_ssim(x, y)) <= 1e-9
+
     def test_symmetry(self):
         rng = np.random.default_rng(4)
         a = Image(rng.uniform(0, 1, (14, 14)))
@@ -109,3 +125,31 @@ class TestSsim:
     def test_window_too_large(self):
         with pytest.raises(ValueError):
             ssim(Image(np.zeros((8, 8))), Image(np.zeros((8, 8))))
+
+
+class TestLocalMean:
+    @pytest.mark.parametrize("shape", [(11, 11), (11, 30), (30, 11), (13, 27), (29, 17)])
+    def test_matches_2d_window_oracle(self, shape):
+        a = np.random.default_rng(7).uniform(0, 1, shape)
+        got = _local_mean(a)
+        expected = brute_force_local_mean(a)
+        assert got.shape == (shape[0] - SSIM_WINDOW + 1, shape[1] - SSIM_WINDOW + 1)
+        assert np.abs(got - expected).max() <= 1e-12
+
+
+class TestWindowProductsOnThreads:
+    # BLAS may run a window product on several threads on the main thread
+    # and runs it on one in a _pool worker; sweep bytes must not depend on that
+    @pytest.mark.parametrize("shape", [(300, 257), (61, 1003)])
+    def test_same_bits_on_main_thread_and_pool_worker(self, shape):
+        rng = np.random.default_rng(8)
+        x, y = (Image(rng.uniform(0, 1, shape)) for _ in range(2))
+
+        def scores():
+            return ssim(x, y), gaussian_blur(x, 2.0).data
+
+        main_ssim, main_blur = scores()
+        with _pool(2) as pool:
+            worker_ssim, worker_blur = pool.submit(scores).result()
+        assert main_ssim == worker_ssim
+        np.testing.assert_array_equal(main_blur, worker_blur)

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.ndimage import correlate1d
 
 from endosim.image import Image
 from endosim.preprocess import (
@@ -52,6 +53,17 @@ class TestGaussianBlur:
         out = gaussian_blur(Image(data), 2.0)
         expected = brute_force_blur(data, 2.0)
         assert np.abs(out.data - expected).max() <= 1e-12
+
+    @pytest.mark.parametrize("shape", [(1, 1), (2, 9), (5, 3)])
+    @pytest.mark.parametrize("sigma", [0.3, 2.0, 5.0])
+    def test_image_smaller_than_radius_matches_scipy_reflect(self, shape, sigma):
+        # the symmetric pad is wider than the image and reflects repeatedly
+        data = np.random.default_rng(12).uniform(0, 1, shape)
+        kernel = gaussian_kernel(sigma)
+        expected = correlate1d(data, kernel, axis=0, mode="reflect")
+        expected = correlate1d(expected, kernel, axis=1, mode="reflect")
+        out = gaussian_blur(Image(data), sigma)
+        assert np.abs(out.data - np.clip(expected, 0.0, 1.0)).max() <= 1e-12
 
     def test_mean_preserved_on_constant_border(self):
         data = np.full((20, 20), 0.4)

@@ -12,8 +12,11 @@ measured. The runs cover phantom, preprocess, degrade (max offset 0 and 2,
 with the sparse frame and the sample log), train with a history on 8x64x64
 batches (two shards, so train's thread pool runs on the main thread), infer,
 metrics, profile, a 4-cell sweep at --threads 1 and 2, readerstats and
-samplesize. A sweep's timings.csv holds wall times and is left out. The
-whole run takes well under a minute on two cores.
+samplesize. A 1280x960 chain without a network (phantom, preprocess, degrade
+at m=6 s=12 d=2 um with the sparse frame and the sample log, then metrics of
+the preprocessed frame against the LR one) checks the frame stages outside
+infer at full-frame size. A sweep's timings.csv holds wall times and is left
+out. The whole run takes well under a minute on two cores.
 """
 
 from __future__ import annotations
@@ -87,6 +90,15 @@ def run(root: Path) -> list[str]:
     endosim(root, "infer", "model.weights", "lr2.pgm", "sr.pgm")
     stdout.append("metrics: " + endosim(root, "metrics", "hr.pgm", "sr.pgm").strip())
     endosim(root, "profile", "--row", "40", "sr.pgm", "profile.csv")
+
+    endosim(root, "phantom", "--width", "1280", "--height", "960", "--seed", "1000",
+            "hd_hr.pgm")
+    endosim(root, "preprocess", "hd_hr.pgm", "hd_pre.pgm")
+    endosim(root, "degrade", "--pixel-size", "2", "--fiber-diameter", "6",
+            "--inter-fiber-distance", "12", "--max-offset", "2", "--seed", "2000",
+            "--emit-sparse", "hd_sparse.pgm", "--emit-samples", "hd_samples.csv",
+            "hd_pre.pgm", "hd_lr.pgm")
+    stdout.append("metrics hd: " + endosim(root, "metrics", "hd_pre.pgm", "hd_lr.pgm").strip())
 
     (root / "sweep.json").write_text(json.dumps(SWEEP))
     for threads in ("1", "2"):
