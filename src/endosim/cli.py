@@ -187,8 +187,9 @@ def _cmd_degrade(args: argparse.Namespace) -> int:
     if args.emit_samples:
         # one format map over column lists (offsets are (dy, dx)); on a 1280x960
         # frame a per-row f-string loop takes about 75% longer, csv.writer 130%
-        columns = (*pair.tile_origins.T.tolist(), *pair.roi_origins.T.tolist(),
-                   *pair.offsets.T[::-1].tolist(), pair.means.tolist())
+        s = pair.samples
+        columns = (*s["tile_origin"].T.tolist(), *s["roi_origin"].T.tolist(),
+                   *s["offset"].T[::-1].tolist(), s["mean"].tolist())
         rows = map("{},{},{},{},{},{},{:.9g}".format, *columns)
         text = "\n".join(["tile_row,tile_col,roi_row,roi_col,dx,dy,mean", *rows]) + "\n"
         _atomic_write(args.emit_samples, text.encode())

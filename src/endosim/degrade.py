@@ -11,7 +11,6 @@ are derived through the configured pixel size (2 um by default).
 
 from __future__ import annotations
 
-import functools
 import sys
 from dataclasses import astuple, dataclass, fields
 
@@ -21,7 +20,7 @@ from .image import Image
 
 __all__ = [
     "DegradationConfig",
-    "FiberSample",
+    "SAMPLE_DTYPE",
     "DegradedPair",
     "grid_geometry",
     "degrade",
@@ -70,33 +69,20 @@ class DegradationConfig:
         return int(round(self.max_offset_um / self.pixel_size_um))
 
 
-@dataclass(frozen=True)
-class FiberSample:
-    tile_origin: tuple[int, int]  # (row, col)
-    roi_origin: tuple[int, int]  # (row, col), after offset and clamping
-    mean_value: float
-    offset: tuple[int, int]  # (d_y, d_x) as drawn, before clamping
+# one row per fiber; each 2-vector is (row, col), offsets are (d_y, d_x) as
+# drawn, and the ROI origin is after offset and clamping
+SAMPLE_DTYPE = np.dtype([("tile_origin", np.int64, 2), ("roi_origin", np.int64, 2),
+                         ("offset", np.int64, 2), ("mean", np.float64)])
 
 
 @dataclass(frozen=True, eq=False)
 class DegradedPair:
-    """Degraded frames plus the per-fiber log as arrays, one row per fiber
-    in row-major tile order; each (n, 2) array holds (row, col) pairs."""
+    """Degraded frames plus the per-fiber log, an (n,) SAMPLE_DTYPE array
+    in row-major tile order."""
 
     sparse: Image
     lr: Image
-    tile_origins: np.ndarray  # (n, 2)
-    roi_origins: np.ndarray  # (n, 2), after offset and clamping
-    offsets: np.ndarray  # (n, 2) of (d_y, d_x), as drawn, before clamping
-    means: np.ndarray  # (n,)
-
-    @functools.cached_property
-    def samples(self) -> list[FiberSample]:
-        """The same log as one FiberSample per fiber, built on first access."""
-        return [FiberSample(tile_origin=tuple(t), roi_origin=tuple(r), mean_value=mean,
-                            offset=tuple(o))
-                for t, r, o, mean in zip(self.tile_origins.tolist(), self.roi_origins.tolist(),
-                                         self.offsets.tolist(), self.means.tolist())]
+    samples: np.ndarray
 
 
 def grid_geometry(cfg: DegradationConfig, width: int, height: int) -> np.ndarray:
@@ -121,35 +107,31 @@ def degrade(
     """
     m, s, d = cfg.m_px, cfg.s_px, cfg.d_px
     h, w = image.height, image.width
-    tiles = grid_geometry(cfg, w, h)
+    ny, nx = h // s, w // s
+    samples = np.empty(ny * nx, SAMPLE_DTYPE)
+    samples["tile_origin"] = grid_geometry(cfg, w, h)
+    tiles = samples["tile_origin"]
     # one call yields the same sequence as per-fiber scalar draws; at d = 0
     # it returns zeros and leaves the generator's state as it was
-    offsets = rng.integers(-d, d + 1, size=tiles.shape)
+    samples["offset"] = rng.integers(-d, d + 1, size=tiles.shape)
     # odd s_px - m_px gap biases the ROI toward the top-left corner
-    rois = np.clip(tiles + (s - m) // 2 + offsets, 0, [h - m, w - m])
+    rois = np.clip(tiles + (s - m) // 2 + samples["offset"], 0, [h - m, w - m],
+                   out=samples["roi_origin"])
     src = image.data
     span = np.arange(m)
     iy = rois[:, 0, None, None] + span[:, None]  # (n, m, 1)
     ix = rois[:, 1, None, None] + span  # (n, 1, m)
     pixels = src[iy, ix]  # (n, m, m)
-    means = pixels.mean(axis=(1, 2))
+    means = pixels.mean(axis=(1, 2), out=samples["mean"])
 
     lr = src.copy()  # uncovered border strips keep the source pixels
-    ny, nx = h // s, w // s
     lr[: ny * s, : nx * s] = np.repeat(
         np.repeat(means.reshape(ny, nx), s, axis=0), s, axis=1
     )
     sparse = np.zeros_like(src)
     # overlapping ROIs copy the same source pixels, so write order is moot
     sparse[iy, ix] = pixels
-    return DegradedPair(
-        sparse=Image(sparse),
-        lr=Image(lr),
-        tile_origins=tiles,
-        roi_origins=rois,
-        offsets=offsets,
-        means=means,
-    )
+    return DegradedPair(sparse=Image(sparse), lr=Image(lr), samples=samples)
 
 
 def identity_check(image: Image) -> Image:

@@ -278,10 +278,14 @@ def sweep_config_from_json(doc: dict) -> SweepConfig:
     specs = doc.get("phantom_specs")
     if not isinstance(specs, list):
         raise ValueError("sweep config requires phantom_specs, a list of objects")
+    train = doc.get("train", {})
+    if isinstance(train, dict) and "seed" in train:
+        raise ValueError("train config key seed is not settable in a sweep: each "
+                         "cell's training seed derives from base_seed")
     return _build_config(
         SweepConfig, doc, "sweep config",
         phantom_specs=tuple(_build_config(PhantomSpec, e, "phantom spec") for e in specs),
-        train_config=_build_config(TrainConfig, doc.get("train", {}), "train config"))
+        train_config=_build_config(TrainConfig, train, "train config"))
 
 
 def _atomic_write(path: str | Path, payload: bytes) -> None:

@@ -65,11 +65,10 @@ def _tile_edges(extent: int, count: int) -> np.ndarray:
     return np.rint(np.linspace(0, extent, count + 1)).astype(int)
 
 
-def _equalization_table(tile: np.ndarray, bins: int, clip_limit: float) -> np.ndarray:
-    """Clipped-histogram equalization mapping for one tile: bin -> [0, 1]."""
-    idx = np.minimum((tile * bins).astype(int), bins - 1)
-    hist = np.bincount(idx.ravel(), minlength=bins).astype(np.float64)
-    ceiling = clip_limit * tile.size
+def _equalization_table(tile_bins: np.ndarray, bins: int, clip_limit: float) -> np.ndarray:
+    """Clipped-histogram equalization mapping of one tile's bins: bin -> [0, 1]."""
+    hist = np.bincount(tile_bins.ravel(), minlength=bins).astype(np.float64)
+    ceiling = clip_limit * tile_bins.size
     excess = np.maximum(hist - ceiling, 0.0).sum()
     hist = np.minimum(hist, ceiling) + excess / bins
     cdf = np.cumsum(hist)
@@ -88,10 +87,11 @@ def clahe(image: Image, cfg: PreprocessConfig) -> Image:
     y_edges = _tile_edges(image.height, rows)
     x_edges = _tile_edges(image.width, cols)
 
+    bin_idx = np.minimum((image.data * bins).astype(int), bins - 1)
     tables = np.empty((rows, cols, bins))
     for r in range(rows):
         for c in range(cols):
-            tile = image.data[y_edges[r] : y_edges[r + 1], x_edges[c] : x_edges[c + 1]]
+            tile = bin_idx[y_edges[r] : y_edges[r + 1], x_edges[c] : x_edges[c + 1]]
             tables[r, c] = _equalization_table(tile, bins, cfg.clahe_clip_limit)
 
     y_centers = (y_edges[:-1] + y_edges[1:] - 1) / 2.0
@@ -107,7 +107,6 @@ def clahe(image: Image, cfg: PreprocessConfig) -> Image:
     r_lo, r_hi, wy = axis_blend(np.arange(image.height, dtype=np.float64), y_centers)
     c_lo, c_hi, wx = axis_blend(np.arange(image.width, dtype=np.float64), x_centers)
 
-    bin_idx = np.minimum((image.data * bins).astype(int), bins - 1)
     rl = r_lo[:, None]
     rh = r_hi[:, None]
     cl = c_lo[None, :]

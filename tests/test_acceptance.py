@@ -98,15 +98,13 @@ def test_criterion_1_degradation_oracle(capsys):
             max_offset_um=float(d),
         )
         pair = degrade(img, cfg, np.random.default_rng(case))
-        offsets = [smp.offset for smp in pair.samples]
+        offsets = pair.samples["offset"].tolist()
         lr_ref, sparse_ref, means_ref = brute_force_degrade(img.data, m, s, offsets)
         same = (
             np.array_equal(pair.lr.data, lr_ref)
             and np.array_equal(pair.sparse.data, sparse_ref)
-            and all(
-                smp.roi_origin == (ry, rx) and smp.mean_value == mv
-                for smp, (ry, rx, mv) in zip(pair.samples, means_ref)
-            )
+            and [(*roi, mv) for roi, mv in zip(pair.samples["roi_origin"].tolist(),
+                                               pair.samples["mean"].tolist())] == means_ref
         )
         if not same:
             ok = False

@@ -70,9 +70,8 @@ class TestPhantomDegradePipeline:
                                 max_offset_um=4)
         pair = degrade(load_pgm(hr.read_bytes()), cfg, np.random.default_rng(5))
         expected = [
-            f"{s.tile_origin[0]},{s.tile_origin[1]},{s.roi_origin[0]},"
-            f"{s.roi_origin[1]},{s.offset[1]},{s.offset[0]},{s.mean_value:.9g}"
-            for s in pair.samples
+            f"{ty},{tx},{ry},{rx},{dx},{dy},{mean:.9g}"
+            for (ty, tx), (ry, rx), (dy, dx), mean in pair.samples.tolist()
         ]
         assert samples.read_text().splitlines()[1:] == expected
 

@@ -20,8 +20,7 @@ def test_offsets_replay_scalar_draws(d):
         (int(replay.integers(-d, d + 1)), int(replay.integers(-d, d + 1)))
         for _ in grid_geometry(cfg, img.width, img.height)
     ]
-    assert [tuple(o) for o in pair.offsets.tolist()] == expected
-    assert [smp.offset for smp in pair.samples] == expected
+    assert [tuple(o) for o in pair.samples["offset"].tolist()] == expected
     assert rng.random() == replay.random()
 
 
@@ -33,6 +32,7 @@ def test_zero_offset_draws_nothing():
     img = Image(np.random.default_rng(30).uniform(0, 1, (41, 53)))
     rng = np.random.default_rng(33)
     pair = degrade(img, cfg, rng)
-    assert pair.offsets.dtype == np.int64 and not pair.offsets.any()
-    assert pair.offsets.shape == grid_geometry(cfg, img.width, img.height).shape
+    offsets = pair.samples["offset"]
+    assert offsets.dtype == np.int64 and not offsets.any()
+    assert offsets.shape == grid_geometry(cfg, img.width, img.height).shape
     assert rng.bit_generator.state == np.random.default_rng(33).bit_generator.state

@@ -368,6 +368,18 @@ class TestSweepConfigJson:
         with pytest.raises(ValueError, match="momentum"):
             sweep_config_from_json(doc)
 
+    def test_train_seed_is_data_error(self, tmp_path, capsys):
+        # each cell's training seed derives from base_seed, so a seed set here
+        # would change nothing
+        config = tmp_path / "sweep.json"
+        config.write_text(json.dumps(dict(self.DOC, train={"epochs": 2, "seed": 123456})))
+        out = tmp_path / "out"
+        assert dispatch(["sweep", "--config", str(config), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "key seed is not settable" in err and "base_seed" in err
+        assert not out.exists()
+
     def test_unknown_phantom_key(self):
         doc = dict(self.DOC, phantom_specs=[{"width": 64, "colour": "red"}])
         with pytest.raises(ValueError, match="colour"):

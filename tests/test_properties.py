@@ -146,7 +146,7 @@ SWEEP_KEYS = ["phantom_specs", "train_count", "offset_um", "inter_fiber_distance
 SPEC_KEYS = ["width", "height", "nuclei_per_megapixel", "nucleus_radius_px",
              "nucleus_intensity", "background_noise_sd", "label"]
 TRAIN_KEYS = ["learning_rate", "epochs", "patch_size", "validation_interval",
-              "adam_beta1", "lrelu_slope"]
+              "seed", "adam_beta1", "lrelu_slope"]
 sweep_docs = st.fixed_dictionaries({}, optional={
     **{key: json_values for key in SWEEP_KEYS},
     "phantom_specs": st.lists(st.one_of(

@@ -9,14 +9,16 @@ trees can be compared for byte identity:
 Every command runs as `python -m endosim.cli` in a temporary directory with
 the caller's environment, so the endosim found on PYTHONPATH is the one
 measured. The runs cover phantom, preprocess, degrade (max offset 0 and 2,
-with the sparse frame and the sample log), train with a history on 8x64x64
-batches (two shards, so train's thread pool runs on the main thread), infer,
-metrics, profile, a 4-cell sweep at --threads 1 and 2, readerstats and
-samplesize. A 1280x960 chain without a network (phantom, preprocess, degrade
-at m=6 s=12 d=2 um with the sparse frame and the sample log, then metrics of
-the preprocessed frame against the LR one) checks the frame stages outside
-infer at full-frame size. A sweep's timings.csv holds wall times and is left
-out. The whole run takes well under a minute on two cores.
+with the sparse frame and the sample log, and m=4 s=10 d=6 um with the
+sample log: an odd gap of 3 px, regions clamped to the frame and a 1-pixel
+strip without fibers), train with a history on 8x64x64 batches (two shards,
+so train's thread pool runs on the main thread), infer, metrics, profile, a
+4-cell sweep at --threads 1 and 2, readerstats and samplesize. A 1280x960
+chain without a network (phantom, preprocess, degrade at m=6 s=12 d=2 um with
+the sparse frame and the sample log, then metrics of the preprocessed frame
+against the LR one) checks the frame stages outside infer at full-frame
+size. A sweep's timings.csv holds wall times and is left out. The whole run
+takes well under a minute on two cores.
 """
 
 from __future__ import annotations
@@ -74,6 +76,8 @@ def run(root: Path) -> list[str]:
     for d in ("0", "2"):
         endosim(root, "degrade", "--max-offset", d, "--emit-sparse", f"sparse{d}.pgm",
                 "--emit-samples", f"samples{d}.csv", "hr.pgm", f"lr{d}.pgm")
+    endosim(root, "degrade", "--fiber-diameter", "4", "--inter-fiber-distance", "10",
+            "--max-offset", "6", "--emit-samples", "samples_odd.csv", "hr.pgm", "lr_odd.pgm")
 
     # two non-square pairs of 4 patches each: one batch of 8x64x64 per epoch
     for split, seeds in (("train", (2, 3)), ("val", (4,))):
