@@ -226,7 +226,10 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    doc = json.loads(Path(args.config).read_text())
+    try:
+        doc = json.loads(Path(args.config).read_text())
+    except RecursionError:
+        raise ValueError(f"JSON in {args.config} is nested too deeply") from None
     config = harness.sweep_config_from_json(doc)
     harness.run_sweep(config, out_dir=args.out, threads=args.threads)
     return EXIT_OK

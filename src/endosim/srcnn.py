@@ -286,13 +286,13 @@ def _conv_param_grads(
     return np.ascontiguousarray(dw), db
 
 
-class _Workspace:
+class _Workspace(threading.local):
     """Named scratch arrays that one train call reuses across its steps, and
     one _forward_frame call across its bands.
 
     get returns the leading elements of the named array, which grows when a
     larger shape is asked for, so a short last batch or band reuses the
-    buffers. A workspace belongs to one call: sweep cells run on threads.
+    buffers. Each thread gets its own arrays, so pool threads can share it.
     """
 
     def __init__(self) -> None:
@@ -336,37 +336,29 @@ def loss_and_grads(
     lr_batch: np.ndarray,
     target: np.ndarray,
     *,
-    workspaces: list[_Workspace] | None = None,
+    workspace: _Workspace | None = None,
     pool: Executor | None = None,
 ) -> tuple[float, list[np.ndarray]]:
     """Single fused forward/backward pass; returns (mse, gradients) with the
     gradients of mse_loss(forward(model, lr_batch), target) in the order of
     model.parameters().
 
-    The batch is cut into _shards, each run by _shard_grads, and their
-    squared errors and gradients are summed in shard order. Each workspace
-    (a fresh one by default) takes one task of contiguous shards. Two or
-    more tasks run on the pool, in the caller's context so that its numpy
-    error state holds; a single task, or any without a pool, runs here.
+    The batch is cut into _shards, each run by _shard_grads in the workspace
+    (a fresh one by default), and their squared errors and gradients are
+    summed in shard order. The shards are mapped over the pool, which hands
+    them out one at a time, each in its own copy of the caller's context so
+    that its numpy error state holds there; without a pool they run here.
     """
     n, _, h, w = lr_batch.shape
     if target.shape != (n, model.layer3.out_channels, h, w):
         raise ValueError("loss_and_grads requires matching shapes")
-    shards = _shards(n, h, w)
+    ws = _Workspace() if workspace is None else workspace
     scale = 2.0 / target.size
-
-    def run(ws: _Workspace, part: list[slice]) -> list[tuple[float, list[np.ndarray]]]:
-        return [_shard_grads(model, lr_batch[s], target[s], scale, ws) for s in part]
-
-    workspaces = workspaces or [_Workspace()]
-    per = -(-len(shards) // len(workspaces))
-    tasks = list(zip(workspaces, range(0, len(shards), per)))
-    if pool is None or len(tasks) == 1:
-        results = run(workspaces[0], shards)
-    else:
-        futures = [pool.submit(contextvars.copy_context().run, run, ws, shards[i : i + per])
-                   for ws, i in tasks]
-        results = [r for f in futures for r in f.result()]
+    shards = _shards(n, h, w)
+    def run(s: slice) -> tuple[float, list[np.ndarray]]:
+        return _shard_grads(model, lr_batch[s], target[s], scale, ws)
+    results = list(map(run, shards) if pool is None else pool.map(
+        lambda ctx, s: ctx.run(run, s), [contextvars.copy_context() for _ in shards], shards))
     sse = sum(shard_sse for shard_sse, _ in results)
     grads = [functools.reduce(np.add, g) for g in zip(*(g for _, g in results))]
     return sse / target.size, grads
@@ -558,11 +550,11 @@ def train(
     smallest validation MSE seen, the initialized model included. A batch
     loss or validation MSE that is NaN or infinite raises TrainingDiverged.
 
-    On the main thread with OpenBLAS to cap, each step's shards run on a
-    _pool of min(cores, shards of a full batch) threads, with OpenBLAS held
-    at one thread process-wide for the epochs. Elsewhere (sweep cells run
-    on pool threads) the shards run serially and no thread is started. The
-    result is the same bytes on any thread.
+    On the main thread with OpenBLAS to cap, each step's shards are handed
+    out one at a time to a _pool of min(cores, shards of a full batch)
+    threads, with OpenBLAS held at one thread process-wide for the epochs.
+    Elsewhere (sweep cells run on pool threads), or with one worker, they
+    run serially and no thread is started. Same bytes on any thread.
     """
     if not pairs or not val_pairs:
         raise ValueError("training and validation sets must be non-empty")
@@ -582,7 +574,7 @@ def train(
     workers = 1
     if threading.current_thread() is threading.main_thread() and _openblas_thread_fns():
         workers = min(len(os.sched_getaffinity(0)), len(_shards(cfg.batch_size, p, p)))
-    workspaces = [_Workspace() for _ in range(workers)]
+    ws = _Workspace()
     with _pool(workers) as pool:
         for epoch in range(1, cfg.epochs + 1):
             # (lr, hr, x0, y0) per crop, pair by pair; x0 is drawn before y0
@@ -596,7 +588,8 @@ def train(
                 x, t = (np.stack([pair[side].data[y0 : y0 + p, x0 : x0 + p]
                                   for *pair, x0, y0 in batch]).astype(np.float32)[:, None]
                         for side in (0, 1))
-                loss, grads = loss_and_grads(model, x, t, workspaces=workspaces, pool=pool)
+                loss, grads = loss_and_grads(model, x, t, workspace=ws,
+                                             pool=pool if workers >= 2 else None)
                 losses.append(loss)
                 if not np.isfinite(loss):
                     raise TrainingDiverged(f"training diverged: batch loss {loss} "
@@ -650,10 +643,7 @@ def infer(model: SrcnnModel, lr: Image) -> Image:
 def save_weights(model: SrcnnModel) -> bytes:
     """Serialize as: magic "SRCW", version u32, slope f32, then per layer
     out/in/k u32 each followed by kernel and bias as little-endian f32."""
-    out = bytearray()
-    out += WEIGHTS_MAGIC
-    out += struct.pack("<I", WEIGHTS_VERSION)
-    out += struct.pack("<f", model.lrelu_slope)
+    out = bytearray(WEIGHTS_MAGIC + struct.pack("<If", WEIGHTS_VERSION, model.lrelu_slope))
     for layer in model.layers:
         out += struct.pack("<III", layer.out_channels, layer.in_channels, layer.k)
         out += layer.kernel.astype("<f4").tobytes()
@@ -664,33 +654,24 @@ def save_weights(model: SrcnnModel) -> bytes:
 def load_weights(blob: bytes) -> SrcnnModel:
     if blob[:4] != WEIGHTS_MAGIC:
         raise ValueError("not a SRCW weights file")
-    if len(blob) < 12:
-        raise ValueError("truncated weights file")
-    (version,) = struct.unpack_from("<I", blob, 4)
+    pos = 4
+
+    def take(dtype: str, count: int) -> np.ndarray:
+        nonlocal pos
+        start, pos = pos, pos + np.dtype(dtype).itemsize * count
+        if pos > len(blob):
+            raise ValueError("truncated weights file")
+        return np.frombuffer(blob, dtype, count, start)
+
+    (version,), (slope,) = take("<u4", 1), take("<f4", 1)
     if version != WEIGHTS_VERSION:
         raise ValueError(f"unsupported weights version {version}")
-    (slope,) = struct.unpack_from("<f", blob, 8)
-    pos = 12
     layers: list[ConvLayer] = []
     for _ in range(3):
-        if pos + 12 > len(blob):
-            raise ValueError("truncated weights file")
-        out_c, in_c, k = struct.unpack_from("<III", blob, pos)
-        pos += 12
-        n_kernel = out_c * in_c * k * k
-        n_bytes = 4 * (n_kernel + out_c)
-        if pos + n_bytes > len(blob):
-            raise ValueError("truncated weights file")
-        kernel = np.frombuffer(blob, dtype="<f4", count=n_kernel, offset=pos)
-        pos += 4 * n_kernel
-        bias = np.frombuffer(blob, dtype="<f4", count=out_c, offset=pos)
-        pos += 4 * out_c
-        layers.append(
-            ConvLayer(
-                kernel=kernel.reshape(out_c, in_c, k, k).astype(np.float32),
-                bias=bias.astype(np.float32),
-            )
-        )
+        out_c, in_c, k = (int(d) for d in take("<u4", 3))
+        kernel = take("<f4", out_c * in_c * k * k).reshape(out_c, in_c, k, k)
+        layers.append(ConvLayer(kernel=kernel.astype(np.float32),
+                                bias=take("<f4", out_c).astype(np.float32)))
     if pos != len(blob):
         raise ValueError("trailing bytes after weights payload")
     l1, l2, l3 = layers

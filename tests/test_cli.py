@@ -183,6 +183,12 @@ SQUARE, WIDE = Image(np.full((16, 16), 0.5)), Image(np.full((16, 20), 0.5))
     (["sweep", "--config", "s.json", "--out", "OUT"],
      {"s.json": '{"phantom_specs": [{}], "train": {"learning_rate": %d}}' % 10**309},
      "learning_rate must be positive and finite"),
+    # json.loads raises RecursionError past the interpreter's recursion limit
+    (["sweep", "--config", "s.json", "--out", "OUT"],
+     {"s.json": "[" * 100000 + "]" * 100000}, "JSON in s.json is nested too deeply"),
+    (["sweep", "--config", "s.json", "--out", "OUT"],
+     {"s.json": '{"a": ' * 100000 + "1" + "}" * 100000},
+     "JSON in s.json is nested too deeply"),
 ])
 def test_bad_input_is_one_line_data_error(tmp_path, monkeypatch, capsys, argv, files,
                                           message):

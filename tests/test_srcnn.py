@@ -374,14 +374,13 @@ class TestShards:
         assert [len(x[s]) for s in srcnn._shards(5, 9, 11)] == [2, 2, 1]
         sse, ref = srcnn._shard_grads(m, x, target, 2 / target.size, srcnn._Workspace())
         serial = loss_and_grads(m, x, target)
-        # one task per shard, on more threads than this machine has cores,
-        # switching threads as often as the interpreter allows
+        # shards handed out one at a time to more threads than this machine
+        # has cores, switching threads as often as the interpreter allows
         interval = sys.getswitchinterval()
         try:
             sys.setswitchinterval(1e-6)
             with ThreadPoolExecutor(3) as pool:
-                pooled = loss_and_grads(m, x, target, pool=pool,
-                                        workspaces=[srcnn._Workspace() for _ in range(3)])
+                pooled = loss_and_grads(m, x, target, pool=pool)
         finally:
             sys.setswitchinterval(interval)
         assert abs(serial[0] - sse / target.size) <= 1e-12 * serial[0]
@@ -391,6 +390,49 @@ class TestShards:
         assert pooled[0] == serial[0]
         for g, r in zip(pooled[1], serial[1]):
             np.testing.assert_array_equal(g, r, strict=True)
+
+    def test_shards_are_handed_out_one_at_a_time(self, monkeypatch):
+        # 6 shards on 2 threads: while shard 0 holds one thread, the other
+        # runs all 5 remaining shards; a worker given a fixed block of
+        # shards would leave some behind shard 0 and time out here
+        rng = np.random.default_rng(31)
+        m = micro_model(rng)
+        x = rng.uniform(0.2, 0.8, (6, 1, 8, 8))
+        target = rng.uniform(0.2, 0.8, (6, 1, 8, 8))
+        monkeypatch.setattr(srcnn, "_SHARD_PIXELS", 8 * 8)
+        serial = loss_and_grads(m, x, target)
+        real = srcnn._shard_grads
+        others_done = threading.Event()
+        lock, others, waits = threading.Lock(), [], []
+
+        def holding(model, xs, *args):
+            if np.shares_memory(xs, x[0]):
+                waits.append(others_done.wait(timeout=5))
+                return real(model, xs, *args)
+            result = real(model, xs, *args)
+            with lock:
+                others.append(result)
+                if len(others) == 5:
+                    others_done.set()
+            return result
+
+        monkeypatch.setattr(srcnn, "_shard_grads", holding)
+        with ThreadPoolExecutor(2) as pool:
+            pooled = loss_and_grads(m, x, target, pool=pool)
+        assert waits == [True]
+        assert pooled[0] == serial[0]
+        for g, r in zip(pooled[1], serial[1]):
+            np.testing.assert_array_equal(g, r, strict=True)
+
+    def test_workspace_gives_each_thread_its_own_arrays(self):
+        ws = srcnn._Workspace()
+        here = ws.get("a", (4,), np.float32)
+        there = []
+        worker = threading.Thread(target=lambda: there.append(ws.get("a", (4,), np.float32)))
+        worker.start()
+        worker.join()
+        assert not np.shares_memory(here, there[0])
+        assert np.shares_memory(here, ws.get("a", (4,), np.float32))
 
 
 class TestAdam:
@@ -831,8 +873,9 @@ class TestWeightsIO:
 
     def test_truncated(self):
         blob = save_weights(init_model(21, channels=(2, 2)))
-        with pytest.raises(ValueError):
-            load_weights(blob[: len(blob) // 2])
+        for cut in (len(blob) // 2, 10):  # mid-payload; inside the slope
+            with pytest.raises(ValueError, match="truncated weights file"):
+                load_weights(blob[:cut])
 
     def test_trailing_garbage(self):
         blob = save_weights(init_model(22, channels=(2, 2)))

@@ -9,16 +9,17 @@ trees can be compared for byte identity:
 Every command runs as `python -m endosim.cli` in a temporary directory with
 the caller's environment, so the endosim found on PYTHONPATH is the one
 measured. The runs cover phantom, preprocess, degrade (max offset 0 and 2,
-with the sparse frame and the sample log, and m=4 s=10 d=6 um with the
-sample log: an odd gap of 3 px, regions clamped to the frame and a 1-pixel
-strip without fibers), train with a history on 8x64x64 batches (two shards,
-so train's thread pool runs on the main thread), infer, metrics, profile, a
-4-cell sweep at --threads 1 and 2, readerstats and samplesize. A 1280x960
-chain without a network (phantom, preprocess, degrade at m=6 s=12 d=2 um with
-the sparse frame and the sample log, then metrics of the preprocessed frame
-against the LR one) checks the frame stages outside infer at full-frame
-size. A sweep's timings.csv holds wall times and is left out. The whole run
-takes well under a minute on two cores.
+with the sparse frame and the sample log, and m=4 s=10 d=6 um with the sample
+log: an odd gap of 3 px, regions clamped to the frame and a 1-pixel strip
+without fibers), train with a history on 8x64x64 batches (two shards, so
+train's thread pool runs on the main thread) and on batches of 16 and 4 64x64
+patches (four shards, then one, each handed to the pool), infer, metrics,
+profile, a 4-cell sweep at --threads 1 and 2, readerstats and samplesize. A
+1280x960 chain without a network (phantom, preprocess, degrade at m=6 s=12
+d=2 um with the sparse frame and the sample log, then metrics of the
+preprocessed frame against the LR one) checks the frame stages outside infer
+at full-frame size. A sweep's timings.csv holds wall times and is left out.
+The whole run takes well under a minute on two cores.
 """
 
 from __future__ import annotations
@@ -91,6 +92,19 @@ def run(root: Path) -> list[str]:
     endosim(root, "train", "--epochs", "2", "--batch-size", "8", "--patch-size", "64",
             "--patches-per-image", "4", "--learning-rate", "1e-3",
             "--history", "history.csv", "data", "model.weights")
+    # four pairs of 5 patches each: a 16-patch batch of 4 shards, then a
+    # 4-patch batch of one shard, both on train's thread pool
+    for split, seeds in (("train", (5, 6, 7, 8)), ("val", (9,))):
+        (root / "data4" / split).mkdir(parents=True)
+        for seed in seeds:
+            stem = f"data4/{split}/p{seed}"
+            endosim(root, "phantom", "--width", "72", "--height", "64", "--seed", str(seed),
+                    f"{stem}_hr.pgm")
+            endosim(root, "degrade", "--max-offset", "2", "--seed", str(seed),
+                    f"{stem}_hr.pgm", f"{stem}_lr.pgm")
+    endosim(root, "train", "--epochs", "2", "--batch-size", "16", "--patch-size", "64",
+            "--patches-per-image", "5", "--learning-rate", "1e-3",
+            "--history", "history4.csv", "data4", "model4.weights")
     endosim(root, "infer", "model.weights", "lr2.pgm", "sr.pgm")
     stdout.append("metrics: " + endosim(root, "metrics", "hr.pgm", "sr.pgm").strip())
     endosim(root, "profile", "--row", "40", "sr.pgm", "profile.csv")
