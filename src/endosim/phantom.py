@@ -53,29 +53,25 @@ class PhantomSpec:
             raise ValueError("background must stay below the nucleus intensity range")
 
 
-def _render_nucleus(
-    canvas: np.ndarray, cy: float, cx: float, r_major: float, ratio: float,
-    theta: float, peak: float,
-) -> None:
-    """Max-blend one elliptical nucleus with a cos^2 radial taper."""
-    h, w = canvas.shape
-    reach = int(np.ceil(r_major)) + 1
-    y0 = max(0, int(np.floor(cy)) - reach)
-    y1 = min(h, int(np.ceil(cy)) + reach + 1)
-    x0 = max(0, int(np.floor(cx)) - reach)
-    x1 = min(w, int(np.ceil(cx)) + reach + 1)
-    yy, xx = np.mgrid[y0:y1, x0:x1]
-    dy = yy - cy
-    dx = xx - cx
-    cos_t, sin_t = np.cos(theta), np.sin(theta)
-    u = (dx * cos_t + dy * sin_t) / r_major
-    v = (-dx * sin_t + dy * cos_t) / (r_major * ratio)
-    rho = np.sqrt(u * u + v * v)
-    inside = rho <= 1.0
-    profile = np.zeros_like(rho)
-    profile[inside] = peak * np.cos(0.5 * np.pi * rho[inside]) ** 2
-    patch = canvas[y0:y1, x0:x1]
-    np.maximum(patch, profile, out=patch)
+def _render_nuclei(canvas: np.ndarray, draws: np.ndarray, r_max: float) -> None:
+    """Max-blend into canvas an elliptical nucleus with a cos^2 radial taper
+    per row of draws (cy, cx, r_major, ratio, theta, peak), on windows of one
+    size covering the canvas pixels within r_max + 1 of floor(center) (rho > 1
+    and the profile is 0 beyond r_major), in chunks of about 2**20 pixels."""
+    (h, w), reach = canvas.shape, int(np.ceil(r_max)) + 1
+    sy, sx = min(2 * reach + 2, h), min(2 * reach + 2, w)
+    for chunk in np.array_split(draws, max(1, len(draws) * sy * sx // 2**20)):
+        cy, cx, r_major, ratio, theta, peak = (col[:, None, None] for col in chunk.T)
+        # window origins floor(center) - reach, moved onto the canvas
+        yy = np.clip(np.floor(cy) - reach, 0, h - sy) + np.arange(sy)[:, None]
+        xx = np.clip(np.floor(cx) - reach, 0, w - sx) + np.arange(sx)
+        dy, dx = yy - cy, xx - cx
+        cos_t, sin_t = np.cos(theta), np.sin(theta)
+        u = (dx * cos_t + dy * sin_t) / r_major
+        v = (-dx * sin_t + dy * cos_t) / (r_major * ratio)
+        rho = np.sqrt(u * u + v * v)
+        profile = np.where(rho <= 1.0, peak * np.cos(0.5 * np.pi * rho) ** 2, 0.0)
+        np.maximum.at(canvas, (yy.astype(np.intp), xx.astype(np.intp)), profile)
 
 
 def generate_phantom(
@@ -90,17 +86,13 @@ def generate_phantom(
     if spec.background_noise_sd > 0:
         background += rng.normal(0.0, spec.background_noise_sd, background.shape)
 
+    # one row per nucleus, in the order of six scalar draws
+    (r_lo, r_hi), (i_lo, i_hi) = spec.nucleus_radius_px, spec.nucleus_intensity
+    draws = rng.uniform((0, 0, r_lo, 1 - spec.eccentricity_max, 0, i_lo),
+                        (spec.height, spec.width, r_hi, 1, 2 * np.pi, i_hi), size=(n_nuclei, 6))
     nuclei = np.zeros_like(background)
-    centers: list[tuple[float, float]] = []
-    for _ in range(n_nuclei):
-        cy = rng.uniform(0, spec.height)
-        cx = rng.uniform(0, spec.width)
-        r_major = rng.uniform(*spec.nucleus_radius_px)
-        ratio = rng.uniform(1.0 - spec.eccentricity_max, 1.0)
-        theta = rng.uniform(0.0, 2.0 * np.pi)
-        peak = rng.uniform(*spec.nucleus_intensity)
-        _render_nucleus(nuclei, cy, cx, r_major, ratio, theta, peak)
-        centers.append((cy, cx))
+    _render_nuclei(nuclei, draws, r_hi)
+    centers = list(zip(draws[:, 0].tolist(), draws[:, 1].tolist()))
 
     # stacked fluorescence saturates rather than adding: combine by maximum
     data = np.clip(np.maximum(background, nuclei), 0.0, 1.0)

@@ -138,18 +138,23 @@ def _fold(x: np.ndarray) -> np.ndarray:
     return x.transpose(1, 0, 2, 3).reshape(c, n * h * w)
 
 
-def _im2col(x: np.ndarray, k: int, out: np.ndarray | None = None) -> np.ndarray:
+def _im2col(x: np.ndarray, k: int, out: np.ndarray | None = None,
+            rows: tuple[int, int] | None = None) -> np.ndarray:
     """(N, C, H, W) -> (C*k*k, N*H*W) patch matrix under zero same-padding,
     written into out (C-contiguous) when given. Each image is padded on its
-    own, so no tap reaches into a neighbouring image."""
+    own, so no tap reaches into a neighbouring image. rows=(top, bottom)
+    keeps the patches of those rows, whose taps still read the rows around."""
     n, c, h, w = x.shape
     p = (k - 1) // 2
-    xp = np.pad(x.transpose(1, 0, 2, 3), ((0, 0), (0, 0), (p, p), (p, p)))
-    win = sliding_window_view(xp, (k, k), axis=(2, 3))  # (C, N, H, W, k, k)
-    cols = np.empty((c, k, k, n, h, w), xp.dtype) if out is None else out
-    cols = cols.reshape(c, k, k, n, h, w)
+    top, bottom = (0, h) if rows is None else rows
+    lo, hi = max(top - p, 0), min(bottom + p, h)
+    xp = np.pad(x[:, :, lo:hi].transpose(1, 0, 2, 3),
+                ((0, 0), (0, 0), (p - top + lo, p - hi + bottom), (p, p)))
+    win = sliding_window_view(xp, (k, k), axis=(2, 3))  # (C, N, rows, W, k, k)
+    cols = np.empty((c, k, k, n, bottom - top, w), xp.dtype) if out is None else out
+    cols = cols.reshape(c, k, k, n, bottom - top, w)
     cols[...] = win.transpose(0, 4, 5, 1, 2, 3)
-    return cols.reshape(c * k * k, n * h * w)
+    return cols.reshape(c * k * k, n * (bottom - top) * w)
 
 
 def conv2d(
@@ -168,9 +173,9 @@ def conv2d(
     contracts the channels into out*k*k tap maps that are shift-added into
     a zero-padded output.
 
-    cols is _im2col(x, k) when the caller has built it (used on the im2col
-    path only); out is an array laid out as the result, for it to be
-    written into. Either way the returned array is the result.
+    cols is _im2col(x, k) when the caller has built it and selects the
+    im2col path; on that path only, out, laid out as the result, is written
+    into. Either way the returned array is the result.
     """
     n, c, h, w = x.shape
     if c != layer.in_channels:
@@ -178,7 +183,7 @@ def conv2d(
     k, o = layer.k, layer.out_channels
     if out is not None:
         out = _fold(out)
-    if k == 1 or c <= o:
+    if cols is not None or k == 1 or c <= o:
         if cols is None:
             cols = _fold(x) if k == 1 else _im2col(x, k)
         y = np.matmul(layer.kernel.reshape(o, -1), cols, out=out)
@@ -195,8 +200,7 @@ def conv2d(
             for v in range(k):
                 i, j = 2 * p - u, 2 * p - v
                 yp[:, :, i : i + h, j : j + w] += taps[:, u, v]
-        y = np.add(yp[:, :, p : p + h, p : p + w], layer.bias[:, None, None, None],
-                   out=None if out is None else out.reshape(o, n, h, w))
+        y = yp[:, :, p : p + h, p : p + w] + layer.bias[:, None, None, None]
     return y.reshape(o, n, h, w).transpose(1, 0, 2, 3)
 
 
@@ -218,24 +222,67 @@ def _lrelu_factor(z: np.ndarray, slope: float, out: np.ndarray) -> np.ndarray:
     return np.maximum(out, out.dtype.type(slope), out=out)
 
 
+# pixels per forward tile, at most; 128 x 128 frames run as two tiles (README)
+_TILE_PIXELS = 14336
+
+
+def _map(fn, items: list, pool: Executor | None) -> list:
+    """[fn(item) for item in items], here or on the pool, there each call in
+    its own copy of the caller's context, so its numpy error state holds."""
+    if pool is None:
+        return list(map(fn, items))
+    return list(pool.map(lambda ctx, item: ctx.run(fn, item),
+                         [contextvars.copy_context() for _ in items], items))
+
+
 def forward(
-    model: SrcnnModel, lr_batch: np.ndarray, *, workspace: _Workspace | None = None
+    model: SrcnnModel, lr_batch: np.ndarray, *, workspace: _Workspace | None = None,
+    pool: Executor | None = None, rows: tuple[int, int] | None = None,
 ) -> np.ndarray:
     """conv1 -> lrelu -> conv2 -> lrelu -> conv3; output is not clamped.
+    rows=(top, bottom) computes forward(...)[:, :, top:bottom] only.
 
-    Three buffers of the workspace (fresh ones by default) take turns, each
-    overwritten once its contents are dead: A holds im2col(x), then a1, then
-    a2; B holds z1, then z2; C holds the result, which stays valid until the
-    workspace is next used.
+    Two stages of row tiles of at most _TILE_PIXELS pixels are _map'ped
+    over the pool. Front: conv1 and a 1x1 layer after it, with their LReLUs,
+    in the running thread's workspace buffers (fresh ones by default): A
+    holds im2col rows, then a1; B holds z1, then z2; the last activation
+    goes to the buffer M. Back: the other layers over the tile's rows of M
+    and their receptive-field halo (overlap-tile); the tile's rows go to the
+    buffer C, the result, valid until the workspace is next used here.
     """
     ws = _Workspace() if workspace is None else workspace
-    l1, l2, l3 = model.layers
-    x, slope = lr_batch, model.lrelu_slope
-    z = conv2d(x, l1, cols=ws.im2col("A", x, l1.k), out=ws.act("B", l1.out_channels, x))
-    a = lrelu(z, slope, out=ws.act("A", l1.out_channels, x))
-    z = conv2d(a, l2, out=ws.act("B", l2.out_channels, x))
-    a = lrelu(z, slope, out=ws.act("A", l2.out_channels, x))
-    return conv2d(a, l3, out=ws.act("C", l3.out_channels, x))
+    x, slope, (n, _, h, w) = lr_batch, model.lrelu_slope, lr_batch.shape
+    top, bottom = rows or (0, h)
+    front = model.layers[: 1 + (model.layer2.k == 1)]
+    back = model.layers[len(front):]
+    halo = sum((layer.k - 1) // 2 for layer in back)
+    lo, hi = max(top - halo, 0), min(bottom + halo, h)
+    mid = ws.act("M", front[-1].out_channels, x[:, :, lo:hi])
+    out = ws.act("C", back[-1].out_channels, x[:, :, top:bottom])
+
+    def tiles(a: int, b: int) -> list[tuple[int, int]]:  # the fewest, as even as can be
+        count = min(b - a, -(-(b - a) * n * w // _TILE_PIXELS))
+        return [(a + i * (b - a) // count, a + (i + 1) * (b - a) // count) for i in range(count)]
+
+    def front_tile(r: tuple[int, int]) -> None:
+        t = x[:, :, r[0] : r[1]]
+        z = conv2d(t, front[0], cols=ws.im2col("A", x, front[0].k, r),
+                   out=ws.act("B", front[0].out_channels, t))
+        for layer in front[1:]:
+            a = lrelu(z, slope, out=ws.act("A", z.shape[1], t))
+            z = conv2d(a, layer, out=ws.act("B", layer.out_channels, t))
+        lrelu(z, slope, out=mid[:, :, r[0] - lo : r[1] - lo])
+
+    def back_tile(r: tuple[int, int]) -> None:
+        a, b = max(r[0] - halo, 0), min(r[1] + halo, h)
+        y = mid[:, :, a - lo : b - lo]
+        for layer in back[:-1]:
+            y = lrelu(conv2d(y, layer), slope)
+        out[:, :, r[0] - top : r[1] - top] = conv2d(y, back[-1])[:, :, r[0] - a : r[1] - a]
+
+    _map(front_tile, tiles(lo, hi), pool)
+    _map(back_tile, tiles(top, bottom), pool)
+    return out
 
 
 def mse_loss(pred: np.ndarray, target: np.ndarray) -> float:
@@ -313,10 +360,11 @@ class _Workspace(threading.local):
         n, _, h, w = like.shape
         return self.get(name, (channels, n, h, w), like.dtype).transpose(1, 0, 2, 3)
 
-    def im2col(self, name: str, x: np.ndarray, k: int) -> np.ndarray:
-        """_im2col(x, k) written into the named array."""
-        n, c, h, w = x.shape
-        return _im2col(x, k, out=self.get(name, (c * k * k, n * h * w), x.dtype))
+    def im2col(self, name: str, x: np.ndarray, k: int,
+               rows: tuple[int, int] | None = None) -> np.ndarray:
+        """_im2col(x, k, rows=rows) written into the named array."""
+        (n, c, h, w), (top, bottom) = x.shape, rows or (0, x.shape[2])
+        return _im2col(x, k, self.get(name, (c * k * k, n * (bottom - top) * w), x.dtype), rows)
 
 
 # pixels per training shard; a batch of smaller images puts several in one
@@ -345,20 +393,16 @@ def loss_and_grads(
 
     The batch is cut into _shards, each run by _shard_grads in the workspace
     (a fresh one by default), and their squared errors and gradients are
-    summed in shard order. The shards are mapped over the pool, which hands
-    them out one at a time, each in its own copy of the caller's context so
-    that its numpy error state holds there; without a pool they run here.
+    summed in shard order. The shards are _map'ped over the pool, which
+    hands them out one at a time; without a pool they run here.
     """
     n, _, h, w = lr_batch.shape
     if target.shape != (n, model.layer3.out_channels, h, w):
         raise ValueError("loss_and_grads requires matching shapes")
     ws = _Workspace() if workspace is None else workspace
     scale = 2.0 / target.size
-    shards = _shards(n, h, w)
-    def run(s: slice) -> tuple[float, list[np.ndarray]]:
-        return _shard_grads(model, lr_batch[s], target[s], scale, ws)
-    results = list(map(run, shards) if pool is None else pool.map(
-        lambda ctx, s: ctx.run(run, s), [contextvars.copy_context() for _ in shards], shards))
+    results = _map(lambda s: _shard_grads(model, lr_batch[s], target[s], scale, ws),
+                   _shards(n, h, w), pool)
     sse = sum(shard_sse for shard_sse, _ in results)
     grads = [functools.reduce(np.add, g) for g in zip(*(g for _, g in results))]
     return sse / target.size, grads
@@ -470,13 +514,12 @@ class TrainingDiverged(ValueError):
     """A training or validation loss became NaN or infinite."""
 
 
-def _validation_mse(
-    model: SrcnnModel, val_pairs: list[tuple[Image, Image]], epoch: int
-) -> float:
+def _validation_mse(model: SrcnnModel, val_pairs: list[tuple[Image, Image]], epoch: int,
+                    pool: Executor | None = None) -> float:
     dtype = model.layer1.kernel.dtype
     total = 0.0
     for lr_img, hr_img in val_pairs:
-        pred = _forward_frame(model, lr_img.data.astype(dtype))
+        pred = _forward_frame(model, lr_img.data.astype(dtype), pool)
         total += mse_loss(pred, hr_img.data.astype(dtype))
     mse = total / len(val_pairs)
     if not np.isfinite(mse):
@@ -534,6 +577,14 @@ def _pool(workers: int):
             set_(count)
 
 
+def _job_pool(jobs: int):
+    """A _pool of min(cores, jobs) threads on the main thread with OpenBLAS to
+    cap, else None; sweep cells run on pool threads, so they start none."""
+    main = threading.current_thread() is threading.main_thread()
+    workers = min(len(os.sched_getaffinity(0)), jobs) if main and _openblas_thread_fns() else 1
+    return _pool(workers) if workers >= 2 else contextlib.nullcontext()
+
+
 # a diverging run's non-finite Adam update meets a loss check that raises
 @np.errstate(over="ignore", invalid="ignore")
 def train(
@@ -550,11 +601,8 @@ def train(
     smallest validation MSE seen, the initialized model included. A batch
     loss or validation MSE that is NaN or infinite raises TrainingDiverged.
 
-    On the main thread with OpenBLAS to cap, each step's shards are handed
-    out one at a time to a _pool of min(cores, shards of a full batch)
-    threads, with OpenBLAS held at one thread process-wide for the epochs.
-    Elsewhere (sweep cells run on pool threads), or with one worker, they
-    run serially and no thread is started. Same bytes on any thread.
+    Each step's shards and each validation pass's tiles go to one _job_pool
+    sized by the shards of a full batch. Same bytes on any thread.
     """
     if not pairs or not val_pairs:
         raise ValueError("training and validation sets must be non-empty")
@@ -567,15 +615,11 @@ def train(
     rng = np.random.default_rng(cfg.seed)
     model = best = init_model(cfg.seed)
     state = AdamState.zeros_like(model.parameters())
-    best_val = _validation_mse(model, val_pairs, 0)
-    history = TrainHistory([(0, float("nan"), best_val)])
-
     p = cfg.patch_size
-    workers = 1
-    if threading.current_thread() is threading.main_thread() and _openblas_thread_fns():
-        workers = min(len(os.sched_getaffinity(0)), len(_shards(cfg.batch_size, p, p)))
     ws = _Workspace()
-    with _pool(workers) as pool:
+    with _job_pool(len(_shards(cfg.batch_size, p, p))) as pool:
+        best_val = _validation_mse(model, val_pairs, 0, pool)
+        history = TrainHistory([(0, float("nan"), best_val)])
         for epoch in range(1, cfg.epochs + 1):
             # (lr, hr, x0, y0) per crop, pair by pair; x0 is drawn before y0
             windows = [(lr, hr, int(rng.integers(0, lr.width - p + 1)),
@@ -588,8 +632,7 @@ def train(
                 x, t = (np.stack([pair[side].data[y0 : y0 + p, x0 : x0 + p]
                                   for *pair, x0, y0 in batch]).astype(np.float32)[:, None]
                         for side in (0, 1))
-                loss, grads = loss_and_grads(model, x, t, workspace=ws,
-                                             pool=pool if workers >= 2 else None)
+                loss, grads = loss_and_grads(model, x, t, workspace=ws, pool=pool)
                 losses.append(loss)
                 if not np.isfinite(loss):
                     raise TrainingDiverged(f"training diverged: batch loss {loss} "
@@ -599,7 +642,7 @@ def train(
 
             val = float("nan")
             if epoch % cfg.validation_interval == 0 or epoch == cfg.epochs:
-                val = _validation_mse(model, val_pairs, epoch)
+                val = _validation_mse(model, val_pairs, epoch, pool)
                 if val < best_val:
                     best, best_val = model, val
             history.rows.append((epoch, sum(losses) / len(losses), val))
@@ -608,36 +651,30 @@ def train(
 
 
 # pixels per forward band; frames up to this size run as a single band
-_BAND_PIXELS = 2**16
+_BAND_PIXELS = 3 * 2**16
 
 
-def _forward_frame(model: SrcnnModel, x: np.ndarray) -> np.ndarray:
-    """Unclipped forward pass over one (h, w) frame, run in row bands, as
-    an (h, w) float64 array.
-
-    Each band is extended by a halo of the network's receptive-field radius
-    on both sides (overlap-tile, Ronneberger et al. 2015), so its interior
-    rows equal those of the full-frame forward pass while activation memory
-    grows with the band, not the frame. Every band runs in one workspace.
-    """
+def _forward_frame(model: SrcnnModel, x: np.ndarray, pool: Executor | None) -> np.ndarray:
+    """Unclipped forward pass over one (h, w) frame as an (h, w) float64
+    array, run by forward in row bands of one workspace, so activation
+    memory grows with the band, not the frame; band tiles go to the pool."""
     h, w = x.shape
-    halo = sum((layer.k - 1) // 2 for layer in model.layers)
     band = max(1, _BAND_PIXELS // w)
     out = np.empty((h, w))
     ws = _Workspace()
     for top in range(0, h, band):
-        bottom = min(top + band, h)
-        lo, hi = max(top - halo, 0), min(bottom + halo, h)
-        pred = forward(model, x[None, None, lo:hi], workspace=ws)[0, 0]
-        out[top:bottom] = pred[top - lo : bottom - lo]
+        rows = (top, min(top + band, h))
+        out[top : rows[1]] = forward(model, x[None, None], workspace=ws, pool=pool,
+                                     rows=rows)[0, 0]
     return out
 
 
 def infer(model: SrcnnModel, lr: Image) -> Image:
-    """Forward pass clamped to [0, 1] for export, run in row bands."""
-    out = _forward_frame(model, lr.data.astype(model.layer1.kernel.dtype))
-    np.clip(out, 0.0, 1.0, out=out)
-    return Image(out)
+    """Forward pass clamped to [0, 1] for export, on a _job_pool for its tiles."""
+    x = lr.data.astype(model.layer1.kernel.dtype)
+    with _job_pool(-(-x.size // _TILE_PIXELS)) as pool:
+        out = _forward_frame(model, x, pool)
+    return Image(np.clip(out, 0.0, 1.0, out=out))
 
 
 def save_weights(model: SrcnnModel) -> bytes:

@@ -857,6 +857,170 @@ class TestInfer:
         assert interior.max() <= 1e-12
 
 
+def model_9_5_5(rng, dtype):
+    """A 9-5-5 model: its front stage is conv1 alone, and its back stage is
+    conv2, LReLU and conv3, with a halo of 2 + 2 rows."""
+    m = SrcnnModel(random_layer(rng, 3, 1, 9, 0.1), random_layer(rng, 2, 3, 5, 0.1),
+                   random_layer(rng, 1, 2, 5, 0.1))
+    return m.with_parameters([p.astype(dtype) for p in m.parameters()])
+
+
+class TestStagedForward:
+    """forward runs in row tiles of at most _TILE_PIXELS pixels; its bytes
+    must equal those of the untiled pass (fresh_forward), which holds only
+    when a GEMM split by columns gives the same bits as the whole GEMM."""
+
+    # (batch, height, width, tile budget); OpenBLAS takes another kernel,
+    # with other bits, for GEMMs of fewer than about 64 columns, and no tile
+    # of a band cut into several is narrower than a row or a third of the
+    # budget
+    CASES = [
+        (1, 23, 64, 5 * 64),  # five tiles of 4 or 5 rows
+        (1, 9, 64, 64),  # one-row tiles
+        (1, 7, 80, 70),  # a row wider than the budget: one-row tiles
+        (3, 17, 64, 2 * 3 * 64),  # a batch of 3: tiles of 1 or 2 rows of 3 images
+    ]
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("layers", ["9-1-5", "9-5-5"])
+    @pytest.mark.parametrize("pooled", [False, True])
+    @pytest.mark.parametrize("n, height, width, tile", CASES)
+    def test_tiles_match_untiled_pass(self, monkeypatch, n, height, width, tile,
+                                      pooled, layers, dtype):
+        monkeypatch.setattr(srcnn, "_TILE_PIXELS", tile)
+        rng = np.random.default_rng(40)
+        if layers == "9-5-5":
+            m = model_9_5_5(rng, dtype)
+        else:
+            m = micro_model(rng, scale=0.1).with_parameters(
+                [p.astype(dtype) for p in micro_model(rng, scale=0.1).parameters()])
+        x = rng.uniform(0.2, 0.8, (n, 1, height, width)).astype(dtype)
+        expected = fresh_forward(m, x)
+        ws = srcnn._Workspace()
+        with ThreadPoolExecutor(2) as pool:
+            pool = pool if pooled else None
+            np.testing.assert_array_equal(forward(m, x, workspace=ws, pool=pool), expected,
+                                          strict=True)
+            for rows in [(0, height), (0, 1), (2, height - 3), (height - 1, height)]:
+                got = forward(m, x, workspace=ws, pool=pool, rows=rows)
+                np.testing.assert_array_equal(got, expected[:, :, rows[0] : rows[1]],
+                                              strict=True)
+
+    @pytest.mark.parametrize("pooled", [False, True])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_bands_of_tiles_match_fresh_band_loop(self, monkeypatch, pooled, dtype):
+        # bands of 7 rows, cut into tiles of 1 or 2 rows, against each
+        # band's interior of an untiled pass over the band and its 6-row halo
+        height, width, band, halo = 30, 64, 7, 6
+        monkeypatch.setattr(srcnn, "_BAND_PIXELS", band * width)
+        monkeypatch.setattr(srcnn, "_TILE_PIXELS", 2 * width)
+        rng = np.random.default_rng(41)
+        m = micro_model(rng, scale=0.1)
+        m = m.with_parameters([p.astype(dtype) for p in m.parameters()])
+        x = rng.uniform(0.2, 0.8, (height, width)).astype(dtype)
+        expected = np.empty((height, width))
+        for top in range(0, height, band):
+            bottom = min(top + band, height)
+            lo, hi = max(top - halo, 0), min(bottom + halo, height)
+            expected[top:bottom] = fresh_forward(m, x[None, None, lo:hi])[0, 0, top - lo :
+                                                                          bottom - lo]
+        with ThreadPoolExecutor(2) as pool:
+            got = srcnn._forward_frame(m, x, pool if pooled else None)
+        np.testing.assert_array_equal(got, expected, strict=True)
+
+
+def recording_conv2d(monkeypatch, threads, blas_counts=None):
+    """Patch srcnn.conv2d to record the thread of each call and, when given
+    a list, the OpenBLAS thread counts it runs under."""
+    real = srcnn.conv2d
+
+    def conv(*args, **kwargs):
+        threads.append(threading.get_ident())
+        if blas_counts is not None:
+            blas_counts.append([get() for get, _ in srcnn._openblas_thread_fns()])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(srcnn, "conv2d", conv)
+
+
+class TestThreadRule:
+    def test_infer_off_the_main_thread_starts_no_thread(self, monkeypatch):
+        monkeypatch.setattr(srcnn, "_TILE_PIXELS", 4 * 16)  # many tiles
+        seen = []
+        real = srcnn.conv2d
+
+        def conv(*args, **kwargs):
+            seen.append((threading.get_ident(), threading.active_count()))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(srcnn, "conv2d", conv)
+        m = micro_model(np.random.default_rng(42), scale=0.1)
+        img = Image(np.random.default_rng(43).uniform(0, 1, (40, 16)))
+        with ThreadPoolExecutor(1) as pool:
+            worker = pool.submit(lambda: (threading.get_ident(), threading.active_count(),
+                                          infer(m, img)))
+            ident, count, sr = worker.result(timeout=600)
+        assert len(seen) > 3 and set(seen) == {(ident, count)}
+        np.testing.assert_array_equal(sr.data, infer(m, img).data)
+
+    def test_infer_on_the_main_thread_uses_a_pool(self, monkeypatch):
+        fns = srcnn._openblas_thread_fns()
+        cores = len(os.sched_getaffinity(0))
+        if not fns or cores < 2:
+            pytest.skip("infer runs serially without OpenBLAS control or a second core")
+        monkeypatch.setattr(srcnn, "_TILE_PIXELS", 4 * 16)
+        workers, threads, counts = [], [], []
+        real_pool = srcnn._pool
+
+        def recording_pool(n):
+            workers.append(n)
+            return real_pool(n)
+
+        monkeypatch.setattr(srcnn, "_pool", recording_pool)
+        recording_conv2d(monkeypatch, threads, counts)
+        m = micro_model(np.random.default_rng(44), scale=0.1)
+        img = Image(np.random.default_rng(45).uniform(0, 1, (40, 16)))
+        old = [get() for get, _ in fns]
+        before = set(threading.enumerate())
+        try:
+            for _, set_ in fns:
+                set_(2)
+            infer(m, img)
+            assert [get() for get, _ in fns] == [2] * len(fns)
+        finally:
+            for (_, set_), count in zip(fns, old):
+                set_(count)
+        tiles = -(-40 * 16 // (4 * 16))
+        assert workers == [min(cores, tiles)]
+        assert threading.get_ident() not in threads
+        assert 2 <= len(set(threads)) <= workers[0]
+        assert counts and all(c == [1] * len(fns) for c in counts)
+        assert set(threading.enumerate()) == before
+
+    def test_validation_uses_trains_pool(self, monkeypatch):
+        if not srcnn._openblas_thread_fns() or len(os.sched_getaffinity(0)) < 2:
+            pytest.skip("train runs serially without OpenBLAS control or a second core")
+        pools = {"loss_and_grads": [], "_forward_frame": []}
+        real_lag, real_frame = srcnn.loss_and_grads, srcnn._forward_frame
+
+        def lag(*args, pool=None, **kwargs):
+            pools["loss_and_grads"].append(pool)
+            return real_lag(*args, pool=pool, **kwargs)
+
+        def frame(model, x, pool):
+            pools["_forward_frame"].append(pool)
+            return real_frame(model, x, pool)
+
+        monkeypatch.setattr(srcnn, "loss_and_grads", lag)
+        monkeypatch.setattr(srcnn, "_forward_frame", frame)
+        pairs = tiny_pairs(np.random.default_rng(46), 2, size=72)
+        train(pairs, pairs, TrainConfig(epochs=2, patch_size=64, patches_per_image=4,
+                                        batch_size=8))
+        used = {id(p) for p in pools["loss_and_grads"] + pools["_forward_frame"]}
+        assert len(pools["_forward_frame"]) == 3 * 2  # epochs 0, 1, 2; two pairs
+        assert len(used) == 1 and pools["loss_and_grads"][0] is not None
+
+
 class TestWeightsIO:
     def test_roundtrip(self):
         m = init_model(18)

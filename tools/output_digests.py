@@ -15,10 +15,12 @@ without fibers), train with a history on 8x64x64 batches (two shards, so
 train's thread pool runs on the main thread) and on batches of 16 and 4 64x64
 patches (four shards, then one, each handed to the pool), infer, metrics,
 profile, a 4-cell sweep at --threads 1 and 2, readerstats and samplesize. A
-1280x960 chain without a network (phantom, preprocess, degrade at m=6 s=12
-d=2 um with the sparse frame and the sample log, then metrics of the
-preprocessed frame against the LR one) checks the frame stages outside infer
-at full-frame size. A sweep's timings.csv holds wall times and is left out.
+1280x960 chain (phantom, preprocess, degrade at m=6 s=12 d=2 um with the
+sparse frame and the sample log, metrics of the preprocessed frame against
+the LR one, infer with the 8x64x64 model, then metrics of the preprocessed
+frame against the SR one) checks every frame stage at full-frame size,
+infer over several bands of several tiles each, run on its thread pool. A
+sweep's timings.csv holds wall times and is left out.
 The whole run takes well under a minute on two cores.
 """
 
@@ -117,6 +119,9 @@ def run(root: Path) -> list[str]:
             "--emit-sparse", "hd_sparse.pgm", "--emit-samples", "hd_samples.csv",
             "hd_pre.pgm", "hd_lr.pgm")
     stdout.append("metrics hd: " + endosim(root, "metrics", "hd_pre.pgm", "hd_lr.pgm").strip())
+    endosim(root, "infer", "model.weights", "hd_lr.pgm", "hd_sr.pgm")
+    stdout.append("metrics hd sr: " + endosim(root, "metrics", "hd_pre.pgm",
+                                              "hd_sr.pgm").strip())
 
     (root / "sweep.json").write_text(json.dumps(SWEEP))
     for threads in ("1", "2"):
