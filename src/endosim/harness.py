@@ -68,6 +68,8 @@ class SweepConfig:
             raise ValueError("need at least one phantom spec")
         if min(self.train_count, self.val_count, self.test_count) < 1:
             raise ValueError("dataset counts must be >= 1")
+        if self.base_seed < 0:
+            raise ValueError("base_seed must be >= 0")
         if any(not isinstance(getattr(self, v), (tuple, list)) for _, v, _ in _AXES):
             raise ValueError("sweep axis values must be lists of numbers")
 

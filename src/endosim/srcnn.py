@@ -224,6 +224,8 @@ def _lrelu_factor(z: np.ndarray, slope: float, out: np.ndarray) -> np.ndarray:
 
 # pixels per forward tile, at most; 128 x 128 frames run as two tiles (README)
 _TILE_PIXELS = 14336
+# pixels per forward band; frames up to this size run as a single band
+_BAND_PIXELS = 3 * 2**16
 
 
 def _map(fn, items: list, pool: Executor | None) -> list:
@@ -235,30 +237,26 @@ def _map(fn, items: list, pool: Executor | None) -> list:
                          [contextvars.copy_context() for _ in items], items))
 
 
-def forward(
-    model: SrcnnModel, lr_batch: np.ndarray, *, workspace: _Workspace | None = None,
-    pool: Executor | None = None, rows: tuple[int, int] | None = None,
-) -> np.ndarray:
+def forward(model: SrcnnModel, lr_batch: np.ndarray, *,
+            pool: Executor | None = None) -> np.ndarray:
     """conv1 -> lrelu -> conv2 -> lrelu -> conv3; output is not clamped.
-    rows=(top, bottom) computes forward(...)[:, :, top:bottom] only.
 
-    Two stages of row tiles of at most _TILE_PIXELS pixels are _map'ped
-    over the pool. Front: conv1 and a 1x1 layer after it, with their LReLUs,
-    in the running thread's workspace buffers (fresh ones by default): A
-    holds im2col rows, then a1; B holds z1, then z2; the last activation
-    goes to the buffer M. Back: the other layers over the tile's rows of M
-    and their receptive-field halo (overlap-tile); the tile's rows go to the
-    buffer C, the result, valid until the workspace is next used here.
+    The batch runs in row bands of _BAND_PIXELS pixels (a row at least) in
+    one fresh workspace, so activation memory grows with the band, not the
+    frame. Each band runs as two stages of row tiles of at most _TILE_PIXELS
+    pixels, _map'ped over the pool. Front: conv1 and a 1x1 layer after it,
+    with their LReLUs, in the running thread's workspace buffers: A holds
+    im2col rows, then a1; B holds z1, then z2; the last activation goes to
+    the buffer M, over the band and the back stage's halo. Back: the other
+    layers over the tile's rows of M and their receptive-field halo
+    (overlap-tile), written into the result.
     """
-    ws = _Workspace() if workspace is None else workspace
+    ws = _Workspace()
     x, slope, (n, _, h, w) = lr_batch, model.lrelu_slope, lr_batch.shape
-    top, bottom = rows or (0, h)
     front = model.layers[: 1 + (model.layer2.k == 1)]
     back = model.layers[len(front):]
     halo = sum((layer.k - 1) // 2 for layer in back)
-    lo, hi = max(top - halo, 0), min(bottom + halo, h)
-    mid = ws.act("M", front[-1].out_channels, x[:, :, lo:hi])
-    out = ws.act("C", back[-1].out_channels, x[:, :, top:bottom])
+    out = np.empty((n, back[-1].out_channels, h, w), x.dtype)
 
     def tiles(a: int, b: int) -> list[tuple[int, int]]:  # the fewest, as even as can be
         count = min(b - a, -(-(b - a) * n * w // _TILE_PIXELS))
@@ -278,10 +276,15 @@ def forward(
         y = mid[:, :, a - lo : b - lo]
         for layer in back[:-1]:
             y = lrelu(conv2d(y, layer), slope)
-        out[:, :, r[0] - top : r[1] - top] = conv2d(y, back[-1])[:, :, r[0] - a : r[1] - a]
+        out[:, :, r[0] : r[1]] = conv2d(y, back[-1])[:, :, r[0] - a : r[1] - a]
 
-    _map(front_tile, tiles(lo, hi), pool)
-    _map(back_tile, tiles(top, bottom), pool)
+    band = max(1, _BAND_PIXELS // max(1, n * w))  # n * w is 0 in an empty batch
+    for top in range(0, h, band):
+        bottom = min(top + band, h)
+        lo, hi = max(top - halo, 0), min(bottom + halo, h)
+        mid = ws.act("M", front[-1].out_channels, x[:, :, lo:hi])
+        _map(front_tile, tiles(lo, hi), pool)
+        _map(back_tile, tiles(top, bottom), pool)
     return out
 
 
@@ -335,7 +338,7 @@ def _conv_param_grads(
 
 class _Workspace(threading.local):
     """Named scratch arrays that one train call reuses across its steps, and
-    one _forward_frame call across its bands.
+    one forward call across its bands.
 
     get returns the leading elements of the named array, which grows when a
     larger shape is asked for, so a short last batch or band reuses the
@@ -516,10 +519,12 @@ class TrainingDiverged(ValueError):
 
 def _validation_mse(model: SrcnnModel, val_pairs: list[tuple[Image, Image]], epoch: int,
                     pool: Executor | None = None) -> float:
+    """Mean MSE of forward's unclamped output (tiles on the pool) against the
+    HR frames; TrainingDiverged if it is not finite."""
     dtype = model.layer1.kernel.dtype
     total = 0.0
     for lr_img, hr_img in val_pairs:
-        pred = _forward_frame(model, lr_img.data.astype(dtype), pool)
+        pred = forward(model, lr_img.data.astype(dtype)[None, None], pool=pool)[0, 0]
         total += mse_loss(pred, hr_img.data.astype(dtype))
     mse = total / len(val_pairs)
     if not np.isfinite(mse):
@@ -650,30 +655,11 @@ def train(
     return best, history
 
 
-# pixels per forward band; frames up to this size run as a single band
-_BAND_PIXELS = 3 * 2**16
-
-
-def _forward_frame(model: SrcnnModel, x: np.ndarray, pool: Executor | None) -> np.ndarray:
-    """Unclipped forward pass over one (h, w) frame as an (h, w) float64
-    array, run by forward in row bands of one workspace, so activation
-    memory grows with the band, not the frame; band tiles go to the pool."""
-    h, w = x.shape
-    band = max(1, _BAND_PIXELS // w)
-    out = np.empty((h, w))
-    ws = _Workspace()
-    for top in range(0, h, band):
-        rows = (top, min(top + band, h))
-        out[top : rows[1]] = forward(model, x[None, None], workspace=ws, pool=pool,
-                                     rows=rows)[0, 0]
-    return out
-
-
 def infer(model: SrcnnModel, lr: Image) -> Image:
-    """Forward pass clamped to [0, 1] for export, on a _job_pool for its tiles."""
+    """forward's output, clamped in place to [0, 1] for export; tiles on a _job_pool."""
     x = lr.data.astype(model.layer1.kernel.dtype)
     with _job_pool(-(-x.size // _TILE_PIXELS)) as pool:
-        out = _forward_frame(model, x, pool)
+        out = forward(model, x[None, None], pool=pool)[0, 0]
     return Image(np.clip(out, 0.0, 1.0, out=out))
 
 

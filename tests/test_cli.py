@@ -189,6 +189,10 @@ SQUARE, WIDE = Image(np.full((16, 16), 0.5)), Image(np.full((16, 20), 0.5))
     (["sweep", "--config", "s.json", "--out", "OUT"],
      {"s.json": '{"a": ' * 100000 + "1" + "}" * 100000},
      "JSON in s.json is nested too deeply"),
+    # SeedSequence rejects a negative seed only when a cell runs, after OUT is made
+    (["sweep", "--config", "s.json", "--out", "OUT"],
+     {"s.json": '{"phantom_specs": [{}], "offset_um": [0], "base_seed": -1}'},
+     "base_seed must be >= 0"),
 ])
 def test_bad_input_is_one_line_data_error(tmp_path, monkeypatch, capsys, argv, files,
                                           message):

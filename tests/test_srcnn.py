@@ -247,6 +247,12 @@ class TestForward:
         y = forward(m, np.zeros((2, 1, 12, 17), dtype=np.float32))
         assert y.shape == (2, 1, 12, 17)
 
+    @pytest.mark.parametrize("shape", [(0, 1, 4, 4), (1, 1, 4, 0), (1, 1, 0, 4)])
+    def test_empty_batch_gives_empty_output(self, shape):
+        m = init_model(1, channels=(4, 3))
+        y = forward(m, np.zeros(shape, dtype=np.float32))
+        assert y.shape == shape and y.dtype == np.float32
+
     def test_hand_composition(self):
         rng = np.random.default_rng(5)
         m = micro_model(rng)
@@ -255,19 +261,6 @@ class TestForward:
         a2 = lrelu(brute_force_conv(a1, m.layer2), m.lrelu_slope)
         expected = brute_force_conv(a2, m.layer3)
         assert np.abs(forward(m, x) - expected).max() <= 1e-10
-
-    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    def test_reused_workspace_matches_fresh_arrays(self, dtype):
-        # large -> small -> large, so a stale or mis-sized buffer shows
-        rng = np.random.default_rng(6)
-        m = micro_model(rng, scale=0.1)
-        m = m.with_parameters([p.astype(dtype) for p in m.parameters()])
-        ws = srcnn._Workspace()
-        for shape in [(2, 1, 13, 11), (1, 1, 5, 7), (2, 1, 11, 13)]:
-            x = rng.uniform(0, 1, shape).astype(dtype)
-            got = forward(m, x, workspace=ws)
-            np.testing.assert_array_equal(got, fresh_forward(m, x), strict=True)
-            np.testing.assert_array_equal(got, forward(m, x), strict=True)
 
 
 class TestMseLoss:
@@ -296,6 +289,22 @@ class TestBackward:
         m = micro_model(np.random.default_rng(8))
         with pytest.raises(ValueError, match="loss_and_grads requires matching shapes"):
             loss_and_grads(m, np.zeros((2, 1, 4, 4)), np.zeros((1, 1, 4, 4)))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_reused_workspace_matches_fresh_arrays(self, dtype):
+        # large -> small -> large, so a stale or mis-sized buffer shows; train
+        # reuses one workspace across steps of different batch sizes
+        rng = np.random.default_rng(6)
+        m = micro_model(rng, scale=0.1)
+        m = m.with_parameters([p.astype(dtype) for p in m.parameters()])
+        ws = srcnn._Workspace()
+        for shape in [(2, 1, 13, 11), (1, 1, 5, 7), (2, 1, 11, 13)]:
+            x, t = (rng.uniform(0, 1, shape).astype(dtype) for _ in range(2))
+            loss, grads = loss_and_grads(m, x, t, workspace=ws)
+            fresh_loss, fresh_grads = loss_and_grads(m, x, t, workspace=srcnn._Workspace())
+            np.testing.assert_array_equal(loss, fresh_loss, strict=True)
+            for got, expected in zip(grads, fresh_grads, strict=True):
+                np.testing.assert_array_equal(got, expected, strict=True)
 
     def test_zero_residual_zero_grads(self):
         rng = np.random.default_rng(8)
@@ -839,9 +848,9 @@ class TestInfer:
         for name in calls:
             monkeypatch.setattr(srcnn, name, counting(name, getattr(srcnn, name)))
         monkeypatch.setattr(srcnn, "conv2d", conv)
-        monkeypatch.setattr(srcnn, "_BAND_PIXELS", 8 * 16)  # three bands
+        monkeypatch.setattr(srcnn, "_BAND_PIXELS", 8 * 16)  # three bands in one forward
         infer(init_model(0), Image(np.random.default_rng(26).uniform(0, 1, (24, 16))))
-        assert calls == {"forward": 3, "lrelu": 6}
+        assert calls == {"forward": 1, "lrelu": 6}
         assert sorted(conv_keys) == sorted(forward_keys * 3)
 
     def test_tiled_inference_matches_full_frame(self):
@@ -866,9 +875,10 @@ def model_9_5_5(rng, dtype):
 
 
 class TestStagedForward:
-    """forward runs in row tiles of at most _TILE_PIXELS pixels; its bytes
-    must equal those of the untiled pass (fresh_forward), which holds only
-    when a GEMM split by columns gives the same bits as the whole GEMM."""
+    """forward runs in row bands cut into tiles of at most _TILE_PIXELS
+    pixels; its bytes must equal those of the untiled pass (fresh_forward),
+    which holds only when a GEMM split by columns gives the same bits as the
+    whole GEMM."""
 
     # (batch, height, width, tile budget); OpenBLAS takes another kernel,
     # with other bits, for GEMMs of fewer than about 64 columns, and no tile
@@ -896,15 +906,12 @@ class TestStagedForward:
                 [p.astype(dtype) for p in micro_model(rng, scale=0.1).parameters()])
         x = rng.uniform(0.2, 0.8, (n, 1, height, width)).astype(dtype)
         expected = fresh_forward(m, x)
-        ws = srcnn._Workspace()
         with ThreadPoolExecutor(2) as pool:
             pool = pool if pooled else None
-            np.testing.assert_array_equal(forward(m, x, workspace=ws, pool=pool), expected,
-                                          strict=True)
-            for rows in [(0, height), (0, 1), (2, height - 3), (height - 1, height)]:
-                got = forward(m, x, workspace=ws, pool=pool, rows=rows)
-                np.testing.assert_array_equal(got, expected[:, :, rows[0] : rows[1]],
-                                              strict=True)
+            # bands of one row, of three rows and of the whole batch
+            for band_rows in (1, 3, height + 1):
+                monkeypatch.setattr(srcnn, "_BAND_PIXELS", band_rows * n * width)
+                np.testing.assert_array_equal(forward(m, x, pool=pool), expected, strict=True)
 
     @pytest.mark.parametrize("pooled", [False, True])
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -918,14 +925,14 @@ class TestStagedForward:
         m = micro_model(rng, scale=0.1)
         m = m.with_parameters([p.astype(dtype) for p in m.parameters()])
         x = rng.uniform(0.2, 0.8, (height, width)).astype(dtype)
-        expected = np.empty((height, width))
+        expected = np.empty((height, width), dtype)
         for top in range(0, height, band):
             bottom = min(top + band, height)
             lo, hi = max(top - halo, 0), min(bottom + halo, height)
             expected[top:bottom] = fresh_forward(m, x[None, None, lo:hi])[0, 0, top - lo :
                                                                           bottom - lo]
         with ThreadPoolExecutor(2) as pool:
-            got = srcnn._forward_frame(m, x, pool if pooled else None)
+            got = forward(m, x[None, None], pool=pool if pooled else None)[0, 0]
         np.testing.assert_array_equal(got, expected, strict=True)
 
 
@@ -1000,24 +1007,24 @@ class TestThreadRule:
     def test_validation_uses_trains_pool(self, monkeypatch):
         if not srcnn._openblas_thread_fns() or len(os.sched_getaffinity(0)) < 2:
             pytest.skip("train runs serially without OpenBLAS control or a second core")
-        pools = {"loss_and_grads": [], "_forward_frame": []}
-        real_lag, real_frame = srcnn.loss_and_grads, srcnn._forward_frame
+        pools = {"loss_and_grads": [], "forward": []}
+        real_lag, real_forward = srcnn.loss_and_grads, srcnn.forward
 
         def lag(*args, pool=None, **kwargs):
             pools["loss_and_grads"].append(pool)
             return real_lag(*args, pool=pool, **kwargs)
 
-        def frame(model, x, pool):
-            pools["_forward_frame"].append(pool)
-            return real_frame(model, x, pool)
+        def fwd(model, x, *, pool=None):
+            pools["forward"].append(pool)
+            return real_forward(model, x, pool=pool)
 
         monkeypatch.setattr(srcnn, "loss_and_grads", lag)
-        monkeypatch.setattr(srcnn, "_forward_frame", frame)
+        monkeypatch.setattr(srcnn, "forward", fwd)
         pairs = tiny_pairs(np.random.default_rng(46), 2, size=72)
         train(pairs, pairs, TrainConfig(epochs=2, patch_size=64, patches_per_image=4,
                                         batch_size=8))
-        used = {id(p) for p in pools["loss_and_grads"] + pools["_forward_frame"]}
-        assert len(pools["_forward_frame"]) == 3 * 2  # epochs 0, 1, 2; two pairs
+        used = {id(p) for p in pools["loss_and_grads"] + pools["forward"]}
+        assert len(pools["forward"]) == 3 * 2  # epochs 0, 1, 2; two pairs
         assert len(used) == 1 and pools["loss_and_grads"][0] is not None
 
 
