@@ -252,9 +252,9 @@ _JSON_KEYS = {"train_config": "train"}
 def _build_config(cls: type, doc: dict, what: str, **nested):
     """Build the dataclass cls from doc, keyed by field name or _JSON_KEYS
     entry, with lists as tuples and the already built nested configs in
-    place of their entries. An unknown key, a non-int in a field annotated
-    int, or a TypeError from cls (a wrong type) becomes a ValueError naming
-    what."""
+    place of their entries. An unknown key, a JSON boolean (Python's bool is
+    an int) in a field or list, a non-int in a field annotated int, or a
+    TypeError from cls (a wrong type) becomes a ValueError naming what."""
     if not isinstance(doc, dict):
         raise ValueError(f"{what} must be a JSON object")
     names = {_JSON_KEYS.get(f.name, f.name): f.name for f in fields(cls)}
@@ -262,6 +262,9 @@ def _build_config(cls: type, doc: dict, what: str, **nested):
     if unknown:
         raise ValueError(f"unknown {what} keys: {sorted(unknown)}")
     kwargs = {names[k]: tuple(v) if isinstance(v, list) else v for k, v in doc.items()}
+    for key, value in doc.items():
+        if any(isinstance(v, bool) for v in (value if isinstance(value, list) else [value])):
+            raise ValueError(f"invalid {what}: {key} must hold numbers, not booleans")
     for f in fields(cls):
         if f.type in ("int", int) and not isinstance(kwargs.get(f.name, 0), int):
             raise ValueError(f"invalid {what}: {f.name} must be an integer, "

@@ -97,16 +97,10 @@ class SrcnnModel:
         return (self.layer1, self.layer2, self.layer3)
 
     def parameters(self) -> list[np.ndarray]:
-        out: list[np.ndarray] = []
-        for layer in self.layers:
-            out.append(layer.kernel)
-            out.append(layer.bias)
-        return out
+        return [p for layer in self.layers for p in (layer.kernel, layer.bias)]
 
     def with_parameters(self, params: list[np.ndarray]) -> "SrcnnModel":
-        layers = [
-            ConvLayer(kernel=params[2 * i], bias=params[2 * i + 1]) for i in range(3)
-        ]
+        layers = (ConvLayer(*params[i : i + 2]) for i in range(0, 6, 2))
         return SrcnnModel(*layers, lrelu_slope=self.lrelu_slope)
 
 
@@ -224,8 +218,24 @@ def _lrelu_factor(z: np.ndarray, slope: float, out: np.ndarray) -> np.ndarray:
 
 # pixels per forward tile, at most; 128 x 128 frames run as two tiles (README)
 _TILE_PIXELS = 14336
-# pixels per forward band; frames up to this size run as a single band
+# pixels per forward unit; frames up to this size run as a single band
 _BAND_PIXELS = 3 * 2**16
+# pixels per training unit; a batch of smaller images puts several in one
+_SHARD_PIXELS = 2**14
+
+
+def _units(n: int, h: int, w: int, budget: int) -> list[tuple[slice, int, int]]:
+    """Work units (images, top, bottom) of an (n, C, h, w) batch. Images of
+    at most budget pixels go whole, budget // (h*w) to a unit; a larger
+    image goes alone, in row bands of budget // w rows (a row at least). The
+    units depend on the shape alone, so sums over them in unit order are the
+    same bytes however many workers run them."""
+    if h * w <= budget:
+        per = budget // max(1, h * w)  # h * w is 0 in an empty image
+        return [(slice(i, i + per), 0, h) for i in range(0, n, per)]
+    rows = max(1, budget // w)
+    return [(slice(i, i + 1), top, min(top + rows, h))
+            for i in range(n) for top in range(0, h, rows)]
 
 
 def _map(fn, items: list, pool: Executor | None) -> list:
@@ -241,25 +251,25 @@ def forward(model: SrcnnModel, lr_batch: np.ndarray, *,
             pool: Executor | None = None) -> np.ndarray:
     """conv1 -> lrelu -> conv2 -> lrelu -> conv3; output is not clamped.
 
-    The batch runs in row bands of _BAND_PIXELS pixels (a row at least) in
-    one fresh workspace, so activation memory grows with the band, not the
-    frame. Each band runs as two stages of row tiles of at most _TILE_PIXELS
+    The batch runs as the _units of _BAND_PIXELS pixels in one fresh
+    workspace, so activation memory grows with the unit, not the frame.
+    Each unit runs as two stages of row tiles of at most _TILE_PIXELS
     pixels, _map'ped over the pool. Front: conv1 and a 1x1 layer after it,
     with their LReLUs, in the running thread's workspace buffers: A holds
     im2col rows, then a1; B holds z1, then z2; the last activation goes to
-    the buffer M, over the band and the back stage's halo. Back: the other
-    layers over the tile's rows of M and their receptive-field halo
+    the buffer M, over the unit's rows and the back stage's halo. Back: the
+    other layers over the tile's rows of M and their receptive-field halo
     (overlap-tile), written into the result.
     """
     ws = _Workspace()
-    x, slope, (n, _, h, w) = lr_batch, model.lrelu_slope, lr_batch.shape
+    slope, (n, _, h, w) = model.lrelu_slope, lr_batch.shape
     front = model.layers[: 1 + (model.layer2.k == 1)]
     back = model.layers[len(front):]
     halo = sum((layer.k - 1) // 2 for layer in back)
-    out = np.empty((n, back[-1].out_channels, h, w), x.dtype)
+    out = np.empty((n, back[-1].out_channels, h, w), lr_batch.dtype)
 
     def tiles(a: int, b: int) -> list[tuple[int, int]]:  # the fewest, as even as can be
-        count = min(b - a, -(-(b - a) * n * w // _TILE_PIXELS))
+        count = min(b - a, -(-(b - a) * len(x) * w // _TILE_PIXELS))
         return [(a + i * (b - a) // count, a + (i + 1) * (b - a) // count) for i in range(count)]
 
     def front_tile(r: tuple[int, int]) -> None:
@@ -276,11 +286,10 @@ def forward(model: SrcnnModel, lr_batch: np.ndarray, *,
         y = mid[:, :, a - lo : b - lo]
         for layer in back[:-1]:
             y = lrelu(conv2d(y, layer), slope)
-        out[:, :, r[0] : r[1]] = conv2d(y, back[-1])[:, :, r[0] - a : r[1] - a]
+        y_out[:, :, r[0] : r[1]] = conv2d(y, back[-1])[:, :, r[0] - a : r[1] - a]
 
-    band = max(1, _BAND_PIXELS // max(1, n * w))  # n * w is 0 in an empty batch
-    for top in range(0, h, band):
-        bottom = min(top + band, h)
+    for images, top, bottom in _units(n, h, w, _BAND_PIXELS):
+        x, y_out = lr_batch[images], out[images]
         lo, hi = max(top - halo, 0), min(bottom + halo, h)
         mid = ws.act("M", front[-1].out_channels, x[:, :, lo:hi])
         _map(front_tile, tiles(lo, hi), pool)
@@ -337,11 +346,11 @@ def _conv_param_grads(
 
 
 class _Workspace(threading.local):
-    """Named scratch arrays that one train call reuses across its steps, and
-    one forward call across its bands.
+    """Named scratch arrays, sized by one of the _units, that one train call
+    reuses across its steps' units, and one forward call across its units.
 
     get returns the leading elements of the named array, which grows when a
-    larger shape is asked for, so a short last batch or band reuses the
+    larger shape is asked for, so a short last batch or unit reuses the
     buffers. Each thread gets its own arrays, so pool threads can share it.
     """
 
@@ -370,18 +379,6 @@ class _Workspace(threading.local):
         return _im2col(x, k, self.get(name, (c * k * k, n * (bottom - top) * w), x.dtype), rows)
 
 
-# pixels per training shard; a batch of smaller images puts several in one
-_SHARD_PIXELS = 2**14
-
-
-def _shards(n: int, h: int, w: int) -> list[slice]:
-    """Whole-image shards of an (n, 1, h, w) batch. They depend on the batch
-    shape alone, never on the core count, so the summed gradients are the
-    same bytes however many workers run the shards."""
-    per = max(1, _SHARD_PIXELS // (h * w))
-    return [slice(i, i + per) for i in range(0, n, per)]
-
-
 def loss_and_grads(
     model: SrcnnModel,
     lr_batch: np.ndarray,
@@ -394,28 +391,37 @@ def loss_and_grads(
     gradients of mse_loss(forward(model, lr_batch), target) in the order of
     model.parameters().
 
-    The batch is cut into _shards, each run by _shard_grads in the workspace
-    (a fresh one by default), and their squared errors and gradients are
-    summed in shard order. The shards are _map'ped over the pool, which
-    hands them out one at a time; without a pool they run here.
+    The batch is cut into _units of _SHARD_PIXELS pixels, each run with its
+    receptive-field halo by _shard_grads in the workspace (a fresh one by
+    default), and their squared errors and gradients are summed in unit
+    order. The units are _map'ped over the pool, which hands them out one
+    at a time; without a pool they run here.
     """
     n, _, h, w = lr_batch.shape
     if target.shape != (n, model.layer3.out_channels, h, w):
         raise ValueError("loss_and_grads requires matching shapes")
     ws = _Workspace() if workspace is None else workspace
     scale = 2.0 / target.size
-    results = _map(lambda s: _shard_grads(model, lr_batch[s], target[s], scale, ws),
-                   _shards(n, h, w), pool)
-    sse = sum(shard_sse for shard_sse, _ in results)
+    halo = sum((layer.k - 1) // 2 for layer in model.layers)
+
+    def unit_grads(unit: tuple[slice, int, int]) -> tuple[float, list[np.ndarray]]:
+        images, top, bottom = unit
+        lo, hi = max(top - halo, 0), min(bottom + halo, h)
+        return _shard_grads(model, lr_batch[images, :, lo:hi], target[images, :, lo:hi],
+                            slice(top - lo, bottom - lo), scale, ws)
+
+    results = _map(unit_grads, _units(n, h, w, _SHARD_PIXELS), pool)
+    sse = sum(unit_sse for unit_sse, _ in results)
     grads = [functools.reduce(np.add, g) for g in zip(*(g for _, g in results))]
     return sse / target.size, grads
 
 
-def _shard_grads(model: SrcnnModel, x: np.ndarray, target: np.ndarray,
+def _shard_grads(model: SrcnnModel, x: np.ndarray, target: np.ndarray, rows: slice,
                  scale: float, ws: _Workspace) -> tuple[float, list[np.ndarray]]:
-    """One shard's part of loss_and_grads: the float64 sum of squared
-    errors, and the gradients with dL/dpred = scale * (pred - target), where
-    scale is the whole batch's 2 / size.
+    """One unit's part of loss_and_grads, over its rows and their halo: the
+    float64 sum of squared errors on the unit's rows, and the gradients with
+    dL/dpred = scale * (pred - target) there and 0 on the halo, where scale
+    is the whole batch's 2 / size. A receptive-field halo makes both exact.
 
     Activations are held batch-folded as (C, N*H*W) in the workspace's
     buffers. A buffer whose contents are dead is reused: dL/dz2 overwrites
@@ -431,10 +437,11 @@ def _shard_grads(model: SrcnnModel, x: np.ndarray, target: np.ndarray,
     f2 = _lrelu_factor(a2, model.lrelu_slope, ws.act("f2", l2.out_channels, x))
     a2 *= f2
     pred = conv2d(a2, l3)
-    sse = float(np.sum(np.square(pred.astype(np.float64) - target)))
+    sse = float(np.sum(np.square(pred[:, :, rows].astype(np.float64) - target[:, :, rows])))
 
     g3 = scale * (pred - target)
     g3 = g3.astype(x.dtype, copy=False)
+    g3[:, :, : rows.start] = g3[:, :, rows.stop :] = 0  # the halo carries no loss
     cols3 = ws.im2col("cols3", g3, l3.k)
     dw3, db3 = _conv_param_grads(a2, g3, l3, g_cols=cols3)
 
@@ -476,11 +483,7 @@ class AdamState:
 
     @classmethod
     def zeros_like(cls, params: list[np.ndarray]) -> "AdamState":
-        return cls(
-            step_count=0,
-            first_moment=[np.zeros_like(p) for p in params],
-            second_moment=[np.zeros_like(p) for p in params],
-        )
+        return cls(0, [np.zeros_like(p) for p in params], [np.zeros_like(p) for p in params])
 
 
 def adam_step(
@@ -606,8 +609,8 @@ def train(
     smallest validation MSE seen, the initialized model included. A batch
     loss or validation MSE that is NaN or infinite raises TrainingDiverged.
 
-    Each step's shards and each validation pass's tiles go to one _job_pool
-    sized by the shards of a full batch. Same bytes on any thread.
+    Each step's _units and each validation pass's tiles go to one _job_pool
+    sized by the units of a full batch. Same bytes on any thread.
     """
     if not pairs or not val_pairs:
         raise ValueError("training and validation sets must be non-empty")
@@ -622,7 +625,7 @@ def train(
     state = AdamState.zeros_like(model.parameters())
     p = cfg.patch_size
     ws = _Workspace()
-    with _job_pool(len(_shards(cfg.batch_size, p, p))) as pool:
+    with _job_pool(len(_units(cfg.batch_size, p, p, _SHARD_PIXELS))) as pool:
         best_val = _validation_mse(model, val_pairs, 0, pool)
         history = TrainHistory([(0, float("nan"), best_val)])
         for epoch in range(1, cfg.epochs + 1):

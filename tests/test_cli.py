@@ -193,6 +193,22 @@ SQUARE, WIDE = Image(np.full((16, 16), 0.5)), Image(np.full((16, 20), 0.5))
     (["sweep", "--config", "s.json", "--out", "OUT"],
      {"s.json": '{"phantom_specs": [{}], "offset_um": [0], "base_seed": -1}'},
      "base_seed must be >= 0"),
+    # JSON true and false are Python bools, which are ints
+    (["sweep", "--config", "s.json", "--out", "OUT"],
+     {"s.json": '{"phantom_specs": [{"width": 16, "height": 16}], "offset_um": [0], '
+                '"train_count": true, "train": {"epochs": 1, "patch_size": 8}}'},
+     "invalid sweep config: train_count must hold numbers, not booleans"),
+    (["sweep", "--config", "s.json", "--out", "OUT"],
+     {"s.json": '{"phantom_specs": [{"width": 16, "height": 16}], "offset_um": [true], '
+                '"train": {"epochs": 1, "patch_size": 8}}'},
+     "invalid sweep config: offset_um must hold numbers, not booleans"),
+    (["sweep", "--config", "s.json", "--out", "OUT"],
+     {"s.json": '{"phantom_specs": [{"width": 16, "height": 16}], "offset_um": [0], '
+                '"train": {"epochs": true, "patch_size": 8}}'},
+     "invalid train config: epochs must hold numbers, not booleans"),
+    (["sweep", "--config", "s.json", "--out", "OUT"],
+     {"s.json": '{"phantom_specs": [{"nucleus_radius_px": [3, false]}]}'},
+     "invalid phantom spec: nucleus_radius_px must hold numbers, not booleans"),
 ])
 def test_bad_input_is_one_line_data_error(tmp_path, monkeypatch, capsys, argv, files,
                                           message):

@@ -367,10 +367,62 @@ class TestBackward:
 
 class TestShards:
     def test_shard_rule(self):
-        # criterion 5's and train_desk's batch, the call-shape test's batch
-        # and the paper's default batch
-        shapes = [(8, 64, 64), (2, 8, 8), (8, 512, 512)]
-        assert [len(srcnn._shards(*shape)) for shape in shapes] == [2, 1, 8]
+        # criterion 5's and train_desk's batch and the call-shape test's batch
+        # are whole-image units; the paper's default 8x512x512 batch is 16
+        # bands of 32 rows an image; forward's 1280x960 frame is seven bands
+        # of 153 rows (the last 42); an empty batch has no units
+        budget = srcnn._SHARD_PIXELS
+        assert srcnn._units(8, 64, 64, budget) == [(slice(0, 4), 0, 64), (slice(4, 8), 0, 64)]
+        assert srcnn._units(2, 8, 8, budget) == [(slice(0, 256), 0, 8)]
+        units = srcnn._units(8, 512, 512, budget)
+        assert len(units) == 128 and {b - t for _, t, b in units} == {32}
+        assert units[15:17] == [(slice(0, 1), 480, 512), (slice(1, 2), 0, 32)]
+        frame = srcnn._units(1, 960, 1280, srcnn._BAND_PIXELS)
+        assert [b - t for _, t, b in frame] == [153] * 6 + [42]
+        assert srcnn._units(0, 8, 8, budget) == []
+
+    @pytest.mark.parametrize("n, height, width, band_rows", [
+        (1, 40, 12, 8),  # five bands
+        (1, 37, 12, 8),  # last band (5 rows) shorter than the halo (6 rows)
+        (2, 5, 12, 2),  # images shorter than the halo
+        (1, 9, 12, 1),  # one-row bands
+        (3, 20, 12, 7),  # a batch of several images, three bands each
+    ])
+    def test_banded_step_equals_whole_image_step(self, monkeypatch, n, height, width,
+                                                 band_rows):
+        # float64 units of band_rows rows with a 6-row halo, against one
+        # _shard_grads call over the whole batch; a pool changes no byte
+        rng = np.random.default_rng(32)
+        m = micro_model(rng)
+        x = rng.uniform(0.2, 0.8, (n, 1, height, width))
+        target = rng.uniform(0.2, 0.8, (n, 1, height, width))
+        sse, ref = srcnn._shard_grads(m, x, target, slice(0, height), 2 / target.size,
+                                      srcnn._Workspace())
+        monkeypatch.setattr(srcnn, "_SHARD_PIXELS", band_rows * width)
+        units = srcnn._units(n, height, width, srcnn._SHARD_PIXELS)
+        assert len(units) == n * -(-height // band_rows)
+        serial = loss_and_grads(m, x, target)
+        with ThreadPoolExecutor(2) as pool:
+            pooled = loss_and_grads(m, x, target, pool=pool)
+        assert abs(serial[0] - sse / target.size) <= 1e-12 * serial[0]
+        for g, r in zip(serial[1], ref, strict=True):
+            assert np.abs(g - r).max() <= 1e-12 * np.abs(r).max()
+        assert pooled[0] == serial[0]
+        for g, r in zip(pooled[1], serial[1]):
+            np.testing.assert_array_equal(g, r, strict=True)
+
+    def test_workspace_holds_one_unit(self):
+        # a 256x256 image is four units of 64 rows; no buffer may outgrow
+        # the largest unit's im2col, 81 taps of 64 rows and a 6-row halo on
+        # each side
+        rng = np.random.default_rng(33)
+        x = rng.uniform(0.2, 0.8, (2, 1, 256, 256)).astype(np.float32)
+        target = rng.uniform(0.2, 0.8, (2, 1, 256, 256)).astype(np.float32)
+        ws = srcnn._Workspace()
+        loss_and_grads(init_model(0), x, target, workspace=ws)
+        sizes = {name: a.size for name, a in ws._arrays.items()}
+        assert sizes["cols1"] == 81 * (2**14 + 12 * 256)
+        assert max(sizes.values()) <= 81 * (2**14 + 12 * 256)
 
     def test_sharded_step_equals_one_shard(self, monkeypatch):
         # 5 images at 2 a shard make shards of 2, 2 and 1; their sum equals
@@ -380,8 +432,11 @@ class TestShards:
         x = rng.uniform(0.2, 0.8, (5, 1, 9, 11))
         target = rng.uniform(0.2, 0.8, (5, 1, 9, 11))
         monkeypatch.setattr(srcnn, "_SHARD_PIXELS", 2 * 9 * 11)
-        assert [len(x[s]) for s in srcnn._shards(5, 9, 11)] == [2, 2, 1]
-        sse, ref = srcnn._shard_grads(m, x, target, 2 / target.size, srcnn._Workspace())
+        units = srcnn._units(5, 9, 11, srcnn._SHARD_PIXELS)
+        assert [(len(x[s]), top, bottom) for s, top, bottom in units] == [
+            (2, 0, 9), (2, 0, 9), (1, 0, 9)]
+        sse, ref = srcnn._shard_grads(m, x, target, slice(0, 9), 2 / target.size,
+                                      srcnn._Workspace())
         serial = loss_and_grads(m, x, target)
         # shards handed out one at a time to more threads than this machine
         # has cores, switching threads as often as the interpreter allows
@@ -908,7 +963,9 @@ class TestStagedForward:
         expected = fresh_forward(m, x)
         with ThreadPoolExecutor(2) as pool:
             pool = pool if pooled else None
-            # bands of one row, of three rows and of the whole batch
+            # budgets of one row, of three rows and of the whole batch: a
+            # batch of n > 1 images is then cut image by image into bands of
+            # n and 3n rows, or runs whole
             for band_rows in (1, 3, height + 1):
                 monkeypatch.setattr(srcnn, "_BAND_PIXELS", band_rows * n * width)
                 np.testing.assert_array_equal(forward(m, x, pool=pool), expected, strict=True)

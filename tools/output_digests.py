@@ -11,9 +11,11 @@ the caller's environment, so the endosim found on PYTHONPATH is the one
 measured. The runs cover phantom, preprocess, degrade (max offset 0 and 2,
 with the sparse frame and the sample log, and m=4 s=10 d=6 um with the sample
 log: an odd gap of 3 px, regions clamped to the frame and a 1-pixel strip
-without fibers), train with a history on 8x64x64 batches (two shards, so
-train's thread pool runs on the main thread) and on batches of 16 and 4 64x64
-patches (four shards, then one, each handed to the pool), infer, metrics,
+without fibers), train with a history on 8x64x64 batches (two whole-image
+units, so train's thread pool runs on the main thread), on batches of 16 and
+4 64x64 patches (four units, then one, each handed to the pool) and on
+batches of 2 160x160 patches (over 2**14 pixels each, so every patch is cut
+into two row bands with a halo, four units a step), infer, metrics,
 profile, a 4-cell sweep at --threads 1 and 2, readerstats and samplesize. A
 1280x960 chain (phantom, preprocess, degrade at m=6 s=12 d=2 um with the
 sparse frame and the sample log, metrics of the preprocessed frame against
@@ -72,6 +74,20 @@ SWEEP = {
 }
 
 
+def make_pairs(root: Path, data: str, width: int, height: int, train: tuple[int, ...],
+               val: tuple[int, ...]) -> None:
+    """One phantom of width x height and its degraded LR mate per seed, in
+    data/train and data/val."""
+    for split, seeds in (("train", train), ("val", val)):
+        (root / data / split).mkdir(parents=True)
+        for seed in seeds:
+            stem = f"{data}/{split}/p{seed}"
+            endosim(root, "phantom", "--width", str(width), "--height", str(height),
+                    "--seed", str(seed), f"{stem}_hr.pgm")
+            endosim(root, "degrade", "--max-offset", "2", "--seed", str(seed),
+                    f"{stem}_hr.pgm", f"{stem}_lr.pgm")
+
+
 def run(root: Path) -> list[str]:
     stdout = []
     endosim(root, "phantom", "--width", "96", "--height", "80", "--seed", "1", "hr.pgm")
@@ -83,30 +99,22 @@ def run(root: Path) -> list[str]:
             "--max-offset", "6", "--emit-samples", "samples_odd.csv", "hr.pgm", "lr_odd.pgm")
 
     # two non-square pairs of 4 patches each: one batch of 8x64x64 per epoch
-    for split, seeds in (("train", (2, 3)), ("val", (4,))):
-        (root / "data" / split).mkdir(parents=True)
-        for seed in seeds:
-            stem = f"data/{split}/p{seed}"
-            endosim(root, "phantom", "--width", "80", "--height", "72", "--seed", str(seed),
-                    f"{stem}_hr.pgm")
-            endosim(root, "degrade", "--max-offset", "2", "--seed", str(seed),
-                    f"{stem}_hr.pgm", f"{stem}_lr.pgm")
+    make_pairs(root, "data", 80, 72, (2, 3), (4,))
     endosim(root, "train", "--epochs", "2", "--batch-size", "8", "--patch-size", "64",
             "--patches-per-image", "4", "--learning-rate", "1e-3",
             "--history", "history.csv", "data", "model.weights")
-    # four pairs of 5 patches each: a 16-patch batch of 4 shards, then a
-    # 4-patch batch of one shard, both on train's thread pool
-    for split, seeds in (("train", (5, 6, 7, 8)), ("val", (9,))):
-        (root / "data4" / split).mkdir(parents=True)
-        for seed in seeds:
-            stem = f"data4/{split}/p{seed}"
-            endosim(root, "phantom", "--width", "72", "--height", "64", "--seed", str(seed),
-                    f"{stem}_hr.pgm")
-            endosim(root, "degrade", "--max-offset", "2", "--seed", str(seed),
-                    f"{stem}_hr.pgm", f"{stem}_lr.pgm")
+    # four pairs of 5 patches each: a 16-patch batch of 4 units, then a
+    # 4-patch batch of one unit, both on train's thread pool
+    make_pairs(root, "data4", 72, 64, (5, 6, 7, 8), (9,))
     endosim(root, "train", "--epochs", "2", "--batch-size", "16", "--patch-size", "64",
             "--patches-per-image", "5", "--learning-rate", "1e-3",
             "--history", "history4.csv", "data4", "model4.weights")
+    # one pair of 2 patches of 160x160: one batch of 2 per epoch, each patch
+    # two row bands (102 and 58 rows) with a 6-row halo
+    make_pairs(root, "data160", 176, 168, (10,), (11,))
+    endosim(root, "train", "--epochs", "2", "--batch-size", "2", "--patch-size", "160",
+            "--patches-per-image", "2", "--learning-rate", "1e-3",
+            "--history", "history160.csv", "data160", "model160.weights")
     endosim(root, "infer", "model.weights", "lr2.pgm", "sr.pgm")
     stdout.append("metrics: " + endosim(root, "metrics", "hr.pgm", "sr.pgm").strip())
     endosim(root, "profile", "--row", "40", "sr.pgm", "profile.csv")
