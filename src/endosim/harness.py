@@ -23,7 +23,7 @@ import numpy as np
 
 from .degrade import DegradationConfig, degrade
 from .image import Image, save_pgm
-from .metrics import psnr, ssim
+from .metrics import SSIM_WINDOW, psnr, ssim
 from .phantom import PhantomSpec, generate_phantom
 from .srcnn import TrainConfig, _pool, infer, save_weights, train
 
@@ -72,21 +72,30 @@ class SweepConfig:
             raise ValueError("base_seed must be >= 0")
         if any(not isinstance(getattr(self, v), (tuple, list)) for _, v, _ in _AXES):
             raise ValueError("sweep axis values must be lists of numbers")
+        # a cell crops its first train_count phantoms and scores its first test_count
+        for count, least, what in ((self.train_count, self.train_config.patch_size, "patch_size"),
+                                   (self.test_count, SSIM_WINDOW, "the SSIM window")):
+            side = min(min(s.width, s.height) for s in self.phantom_specs[:count])
+            if side < least:
+                raise ValueError(f"phantom side {side} smaller than {what} ({least})")
 
     def cells(self) -> list["SweepCell"]:
         """Grid enumeration: offset axis, then s axis, then m axis."""
         baseline = {"pixel_size_um": self.pixel_size_um}
         for _, values, field in _AXES:
             baseline[field] = getattr(self, "baseline_" + values)
+        used = self.phantom_specs[:max(self.train_count, self.val_count, self.test_count)]
+        side = min(min(s.width, s.height) for s in used)  # of every phantom a cell degrades
         out: list[SweepCell] = []
         for axis_idx, (axis, values, field) in enumerate(_AXES):
             for cell_idx, value in enumerate(getattr(self, values)):
                 try:
                     cfg = DegradationConfig(**{**baseline, field: value})
+                    if side < cfg.s_px:
+                        raise ValueError(f"phantom side {side} smaller than the tile ({cfg.s_px})")
                 except (TypeError, ValueError) as exc:
                     raise ValueError(
-                        f"invalid sweep cell {axis}[{cell_idx}]={value}: {exc}"
-                    ) from exc
+                        f"invalid sweep cell {axis}[{cell_idx}]={value}: {exc}") from exc
                 out.append(SweepCell(axis, axis_idx, cell_idx, cfg))
         return out
 
@@ -121,23 +130,13 @@ class ResultRow:
 RESULTS_HEADER = [f.name for f in fields(ResultRow) if f.name != "train_seconds"]
 
 
-def _cell_seeds(base_seed: int, cell: SweepCell, count: int) -> list[int]:
-    ss = np.random.SeedSequence(
-        entropy=base_seed, spawn_key=(cell.axis_idx, cell.cell_idx)
-    )
-    return [int(s) for s in ss.generate_state(count, dtype=np.uint32)]
-
-
 def _make_pairs(
-    config: SweepConfig, cell: SweepCell, role_offset: int, count: int, seed: int
+    config: SweepConfig, degradation: DegradationConfig, count: int, seed: int
 ) -> list[tuple[Image, Image]]:
     pairs = []
     for k in range(count):
-        spec = config.phantom_specs[k % len(config.phantom_specs)]
-        hr, _ = generate_phantom(spec, seed + role_offset + k)
-        rng = np.random.default_rng(seed + role_offset + k + 7919)
-        lr = degrade(hr, cell.degradation, rng).lr
-        pairs.append((lr, hr))
+        hr, _ = generate_phantom(config.phantom_specs[k % len(config.phantom_specs)], seed + k)
+        pairs.append((degrade(hr, degradation, np.random.default_rng(seed + k + 7919)).lr, hr))
     return pairs
 
 
@@ -145,10 +144,11 @@ def _run_cell(config: SweepConfig, cell: SweepCell, out: Path | None) -> ResultR
     """Train and score one cell. With an output directory, the cell's
     weights, first hr/lr/sr test triple and LR line profile are written
     there before it returns."""
-    data_seed, train_seed = _cell_seeds(config.base_seed, cell, 2)
-    train_pairs = _make_pairs(config, cell, 0, config.train_count, data_seed)
-    val_pairs = _make_pairs(config, cell, 10_000, config.val_count, data_seed)
-    test_pairs = _make_pairs(config, cell, 20_000, config.test_count, data_seed)
+    data_seed, train_seed = map(int, np.random.SeedSequence(
+        config.base_seed, spawn_key=(cell.axis_idx, cell.cell_idx)).generate_state(2))
+    train_pairs = _make_pairs(config, cell.degradation, config.train_count, data_seed)
+    val_pairs = _make_pairs(config, cell.degradation, config.val_count, data_seed + 10_000)
+    test_pairs = _make_pairs(config, cell.degradation, config.test_count, data_seed + 20_000)
 
     t0 = time.monotonic()
     model, _history = train(

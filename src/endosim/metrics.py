@@ -11,9 +11,9 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .image import Image
+from .preprocess import _window_product
 
 __all__ = ["psnr", "ssim"]
 
@@ -37,12 +37,6 @@ def psnr(reference: Image, test: Image) -> float:
     return 10.0 * math.log10(1.0 / mse)
 
 
-def _local_mean(a: np.ndarray) -> np.ndarray:
-    # the window's mean at each fully-interior position: one product per axis
-    out = sliding_window_view(a, SSIM_WINDOW, axis=0) @ _WINDOW_1D
-    return sliding_window_view(out, SSIM_WINDOW, axis=1) @ _WINDOW_1D
-
-
 def ssim(reference: Image, test: Image) -> float:
     """Mean structural similarity over all fully-interior window positions."""
     if reference.data.shape != test.data.shape:
@@ -50,20 +44,22 @@ def ssim(reference: Image, test: Image) -> float:
     if min(reference.data.shape) < SSIM_WINDOW:
         raise ValueError("image smaller than the SSIM window")
     x, y = reference.data, test.data
-    # in place on the local-mean maps, each operation in the order of
-    # num = (2 mu_x mu_y + C1) (2 cov + C2), den = (mu_x^2 + mu_y^2 + C1) (var_x + var_y + C2)
-    mu_x, mu_y = _local_mean(x), _local_mean(y)
+    # num = (2 mu_x mu_y + C1) (2 cov + C2), den = (mu_x^2 + mu_y^2 + C1) (var_x + var_y + C2),
+    # in place and in this order; cov is freed first, so var's products run beside 4 maps, not 5
+    mu_x, mu_y = _window_product(x, _WINDOW_1D), _window_product(y, _WINDOW_1D)
     num = mu_x * mu_y
     den, sq_y = np.square(mu_x, out=mu_x), np.square(mu_y, out=mu_y)
-    var, cov = _local_mean(x * x), _local_mean(x * y)
-    var -= den
-    var += _local_mean(y * y) - sq_y
+    cov = _window_product(x * y, _WINDOW_1D)
     cov -= num
     num *= 2.0
     num += SSIM_C1
     cov *= 2.0
     cov += SSIM_C2
     num *= cov
+    del cov
+    var = _window_product(x * x, _WINDOW_1D)
+    var -= den
+    var += _window_product(y * y, _WINDOW_1D) - sq_y
     den += sq_y
     den += SSIM_C1
     var += SSIM_C2

@@ -51,13 +51,18 @@ def gaussian_kernel(sigma: float) -> np.ndarray:
     return k / k.sum()
 
 
+def _window_product(a: np.ndarray, taps: np.ndarray) -> np.ndarray:
+    """a correlated with taps along each axis where they fit: two BLAS products along
+    axis 0, the second on a C-ordered transposed copy that frees the first at once."""
+    out = np.ascontiguousarray((sliding_window_view(a, len(taps), axis=0) @ taps).T)
+    return (sliding_window_view(out, len(taps), axis=0) @ taps).T
+
+
 def gaussian_blur(image: Image, sigma_px: float) -> Image:
-    """Separable Gaussian smoothing with mirror (symmetric) boundaries, one
-    window product per axis; a pad wider than the image reflects again."""
+    """Separable Gaussian smoothing with mirror (symmetric) boundaries; a pad
+    wider than the image reflects again."""
     kernel = gaussian_kernel(sigma_px)
-    out = np.pad(image.data, len(kernel) // 2, mode="symmetric")
-    out = sliding_window_view(out, len(kernel), axis=0) @ kernel
-    out = sliding_window_view(out, len(kernel), axis=1) @ kernel
+    out = _window_product(np.pad(image.data, len(kernel) // 2, mode="symmetric"), kernel)
     return Image(np.clip(out, 0.0, 1.0, out=out))
 
 

@@ -209,6 +209,19 @@ SQUARE, WIDE = Image(np.full((16, 16), 0.5)), Image(np.full((16, 20), 0.5))
     (["sweep", "--config", "s.json", "--out", "OUT"],
      {"s.json": '{"phantom_specs": [{"nucleus_radius_px": [3, false]}]}'},
      "invalid phantom spec: nucleus_radius_px must hold numbers, not booleans"),
+    # phantoms too small for a cell: each failed inside every cell, after OUT is made
+    (["sweep", "--config", "s.json", "--out", "OUT"],
+     {"s.json": '{"phantom_specs": [{"width": 48, "height": 48}], "offset_um": [0], '
+                '"train": {"epochs": 1, "patch_size": 64}}'},
+     "phantom side 48 smaller than patch_size (64)"),
+    (["sweep", "--config", "s.json", "--out", "OUT"],
+     {"s.json": '{"phantom_specs": [{"width": 10, "height": 40}], "offset_um": [0], '
+                '"train": {"epochs": 1, "patch_size": 8}}'},
+     "phantom side 10 smaller than the SSIM window (11)"),
+    (["sweep", "--config", "s.json", "--out", "OUT"],
+     {"s.json": '{"phantom_specs": [{"width": 16, "height": 16}], '
+                '"inter_fiber_distance_um": [40], "train": {"epochs": 1, "patch_size": 8}}'},
+     "invalid sweep cell inter_fiber_distance[0]=40: phantom side 16 smaller than the tile (20)"),
 ])
 def test_bad_input_is_one_line_data_error(tmp_path, monkeypatch, capsys, argv, files,
                                           message):

@@ -164,6 +164,7 @@ class TestRunSweep:
             "offset_um": [0], "inter_fiber_distance_um": [2],
             "baseline_fiber_diameter_um": 2, "baseline_inter_fiber_distance_um": 2,
             "baseline_offset_um": 0, "pixel_size_um": 2, "base_seed": 3,
+            "train": {"patch_size": 8},
         }
         config = tmp_path / "sweep.json"
         config.write_text(json.dumps(doc))
@@ -206,9 +207,12 @@ class TestRunSweep:
         doc = dict(TestSweepConfigJson.DOC, offset_um=[0, 2, 4, 6])
         config.write_text(json.dumps(doc))
         cfg = sweep_config_from_json(doc)
-        # cells 1 and 3 diverge; the error names both and carries cell 1's
-        failing = {harness._cell_seeds(cfg.base_seed, cfg.cells()[i], 2)[1]: i
-                   for i in (1, 3)}
+        # cells 1 and 3 diverge; the error names both and carries cell 1's.
+        # A cell's training seed is the second word of its SeedSequence
+        # state, spawned from base_seed at (axis_idx, cell_idx)
+        failing = {int(np.random.SeedSequence(cfg.base_seed, spawn_key=(
+            cell.axis_idx, cell.cell_idx)).generate_state(2)[1]): i
+            for i, cell in enumerate(cfg.cells()) if i in (1, 3)}
 
         def train(pairs, val, train_cfg):
             if train_cfg.seed in failing:

@@ -4,16 +4,20 @@ import numpy as np
 import pytest
 
 from endosim.image import Image
-from endosim.metrics import SSIM_C1, SSIM_C2, SSIM_SIGMA, SSIM_WINDOW, _local_mean, psnr, ssim
-from endosim.preprocess import gaussian_blur
+from endosim.metrics import SSIM_C1, SSIM_C2, SSIM_SIGMA, SSIM_WINDOW, psnr, ssim
+from endosim.preprocess import _window_product, gaussian_blur, gaussian_kernel
 from endosim.srcnn import _pool
 
 
-def ssim_window_2d():
+def ssim_window_1d():
     half = SSIM_WINDOW // 2
     x = np.arange(-half, half + 1, dtype=np.float64)
     w1 = np.exp(-0.5 * (x / SSIM_SIGMA) ** 2)
-    w1 /= w1.sum()
+    return w1 / w1.sum()
+
+
+def ssim_window_2d():
+    w1 = ssim_window_1d()
     return np.outer(w1, w1)
 
 
@@ -40,10 +44,11 @@ def brute_force_ssim(x, y):
     return float(np.mean(vals))
 
 
-def brute_force_local_mean(a):
-    """The 2-D window's weighted sum at every fully-interior position."""
-    w = ssim_window_2d()
-    k = SSIM_WINDOW
+def brute_force_window_sum(a, taps):
+    """The weighted sum of the outer(taps, taps) window at every position
+    where it fits."""
+    w = np.outer(taps, taps)
+    k = len(taps)
     h, wd = a.shape
     return np.array([[np.sum(w * a[i : i + k, j : j + k]) for j in range(wd - k + 1)]
                      for i in range(h - k + 1)])
@@ -128,19 +133,23 @@ class TestSsim:
 
 
 class TestLocalMean:
+    # SSIM's 11 taps and the blur's 17 at its default sigma; each shape is
+    # grown by the taps beyond 11, so a side equal to the tap length is in
     @pytest.mark.parametrize("shape", [(11, 11), (11, 30), (30, 11), (13, 27), (29, 17)])
     def test_matches_2d_window_oracle(self, shape):
-        a = np.random.default_rng(7).uniform(0, 1, shape)
-        got = _local_mean(a)
-        expected = brute_force_local_mean(a)
-        assert got.shape == (shape[0] - SSIM_WINDOW + 1, shape[1] - SSIM_WINDOW + 1)
-        assert np.abs(got - expected).max() <= 1e-12
+        for taps in (ssim_window_1d(), gaussian_kernel(2.0)):
+            grow = len(taps) - SSIM_WINDOW
+            a = np.random.default_rng(7).uniform(0, 1, (shape[0] + grow, shape[1] + grow))
+            got = _window_product(a, taps)
+            expected = brute_force_window_sum(a, taps)
+            assert got.shape == (shape[0] - SSIM_WINDOW + 1, shape[1] - SSIM_WINDOW + 1)
+            assert np.abs(got - expected).max() <= 1e-12
 
 
 class TestWindowProductsOnThreads:
     # BLAS may run a window product on several threads on the main thread
     # and runs it on one in a _pool worker; sweep bytes must not depend on that
-    @pytest.mark.parametrize("shape", [(300, 257), (61, 1003)])
+    @pytest.mark.parametrize("shape", [(300, 257), (61, 1003), (960, 1280)])
     def test_same_bits_on_main_thread_and_pool_worker(self, shape):
         rng = np.random.default_rng(8)
         x, y = (Image(rng.uniform(0, 1, shape)) for _ in range(2))

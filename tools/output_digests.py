@@ -21,8 +21,12 @@ profile, a 4-cell sweep at --threads 1 and 2, readerstats and samplesize. A
 sparse frame and the sample log, metrics of the preprocessed frame against
 the LR one, infer with the 8x64x64 model, then metrics of the preprocessed
 frame against the SR one) checks every frame stage at full-frame size,
-infer over several bands of several tiles each, run on its thread pool. A
-sweep's timings.csv holds wall times and is left out.
+infer over several bands of several tiles each, run on its thread pool. Two
+edge shapes of the separable window product follow: a 1x1-tile preprocess of
+a 6x40 frame, narrower than the 17-tap blur kernel, so its 8-pixel mirror pad
+is wider than the frame, and metrics of a 64x11 pair, whose height equals the
+11-pixel SSIM window, so the valid region is one row. A sweep's timings.csv
+holds wall times and is left out.
 The whole run takes well under a minute on two cores.
 """
 
@@ -130,6 +134,15 @@ def run(root: Path) -> list[str]:
     endosim(root, "infer", "model.weights", "hd_lr.pgm", "hd_sr.pgm")
     stdout.append("metrics hd sr: " + endosim(root, "metrics", "hd_pre.pgm",
                                               "hd_sr.pgm").strip())
+
+    endosim(root, "phantom", "--width", "6", "--height", "40", "--seed", "3000",
+            "narrow_hr.pgm")
+    endosim(root, "preprocess", "--tiles", "1", "1", "narrow_hr.pgm", "narrow_pre.pgm")
+    endosim(root, "phantom", "--width", "64", "--height", "11", "--seed", "3001",
+            "short_hr.pgm")
+    endosim(root, "degrade", "--seed", "3002", "short_hr.pgm", "short_lr.pgm")
+    stdout.append("metrics short: " + endosim(root, "metrics", "short_hr.pgm",
+                                              "short_lr.pgm").strip())
 
     (root / "sweep.json").write_text(json.dumps(SWEEP))
     for threads in ("1", "2"):
