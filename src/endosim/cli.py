@@ -277,7 +277,7 @@ def dispatch(argv: list[str]) -> int:
         return EXIT_USAGE
     try:
         return args.run(args)
-    except (ValueError, OSError) as exc:  # ImageError and JSONDecodeError too
+    except (ValueError, OSError, MemoryError) as exc:  # ImageError, JSONDecodeError too
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass
+from itertools import product
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -70,16 +71,6 @@ def _tile_edges(extent: int, count: int) -> np.ndarray:
     return np.rint(np.linspace(0, extent, count + 1)).astype(int)
 
 
-def _equalization_table(tile_bins: np.ndarray, bins: int, clip_limit: float) -> np.ndarray:
-    """Clipped-histogram equalization mapping of one tile's bins: bin -> [0, 1]."""
-    hist = np.bincount(tile_bins.ravel(), minlength=bins).astype(np.float64)
-    ceiling = clip_limit * tile_bins.size
-    excess = np.maximum(hist - ceiling, 0.0).sum()
-    hist = np.minimum(hist, ceiling) + excess / bins
-    cdf = np.cumsum(hist)
-    return cdf / cdf[-1]
-
-
 def clahe(image: Image, cfg: PreprocessConfig) -> Image:
     """Per-tile equalization with clipped histograms, blended bilinearly
     between the four nearest tile centers."""
@@ -93,38 +84,33 @@ def clahe(image: Image, cfg: PreprocessConfig) -> Image:
     x_edges = _tile_edges(image.width, cols)
 
     bin_idx = np.minimum((image.data * bins).astype(int), bins - 1)
+    # one count per row of tiles: each pixel's bin offset by its tile column's block
+    col_key = np.repeat(np.arange(cols) * bins, np.diff(x_edges))
+    ceilings = cfg.clahe_clip_limit * np.outer(np.diff(y_edges), np.diff(x_edges))
     tables = np.empty((rows, cols, bins))
-    for r in range(rows):
-        for c in range(cols):
-            tile = bin_idx[y_edges[r] : y_edges[r + 1], x_edges[c] : x_edges[c + 1]]
-            tables[r, c] = _equalization_table(tile, bins, cfg.clahe_clip_limit)
+    for r, hist in enumerate(tables):
+        band = bin_idx[y_edges[r] : y_edges[r + 1]]
+        hist[...] = np.bincount((band + col_key).ravel(), minlength=cols * bins).reshape(cols, bins)
+        ceiling = ceilings[r, :, None]
+        excess = np.maximum(hist - ceiling, 0.0).sum(axis=1, keepdims=True)
+        np.cumsum(np.minimum(hist, ceiling) + excess / bins, axis=1, out=hist)
+    tables /= tables[:, :, -1:].copy()  # a view of tables itself would be copied whole
 
-    y_centers = (y_edges[:-1] + y_edges[1:] - 1) / 2.0
-    x_centers = (x_edges[:-1] + x_edges[1:] - 1) / 2.0
-
-    def axis_blend(coords: np.ndarray, centers: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def axis_blend(edges: np.ndarray) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+        """(tile index, weight) of the lower and the upper tile center per pixel."""
+        centers = (edges[:-1] + edges[1:] - 1) / 2.0
+        coords = np.arange(edges[-1], dtype=np.float64)
         hi = np.searchsorted(centers, coords).clip(0, len(centers) - 1)
         lo = np.maximum(hi - 1, 0)
         span = centers[hi] - centers[lo]
         w = np.where(span > 0, (coords - centers[lo]) / np.where(span > 0, span, 1), 0.0)
-        return lo, hi, np.clip(w, 0.0, 1.0)
+        w = np.clip(w, 0.0, 1.0)
+        return (lo, 1 - w), (hi, w)
 
-    r_lo, r_hi, wy = axis_blend(np.arange(image.height, dtype=np.float64), y_centers)
-    c_lo, c_hi, wx = axis_blend(np.arange(image.width, dtype=np.float64), x_centers)
-
-    rl = r_lo[:, None]
-    rh = r_hi[:, None]
-    cl = c_lo[None, :]
-    ch = c_hi[None, :]
-    wy2 = wy[:, None]
-    wx2 = wx[None, :]
-    out = (
-        (1 - wy2) * (1 - wx2) * tables[rl, cl, bin_idx]
-        + (1 - wy2) * wx2 * tables[rl, ch, bin_idx]
-        + wy2 * (1 - wx2) * tables[rh, cl, bin_idx]
-        + wy2 * wx2 * tables[rh, ch, bin_idx]
-    )
-    return Image(np.clip(out, 0.0, 1.0))
+    out = 0.0  # out + term reuses the term's buffer; sum() would hold one more frame
+    for (r, wy), (c, wx) in product(axis_blend(y_edges), axis_blend(x_edges)):
+        out = out + wy[:, None] * wx * tables[r[:, None], c, bin_idx]
+    return Image(np.clip(out, 0.0, 1.0, out=out))
 
 
 def preprocess(image: Image, cfg: PreprocessConfig) -> Image:

@@ -287,6 +287,22 @@ def test_every_config_flag_reaches_its_field(tmp_path, monkeypatch, capsys,
     assert seen == [expected]
 
 
+def test_failed_allocation_is_one_line_data_error(tmp_path, monkeypatch, capsys):
+    # a stage that asks numpy for too large an array; a real oversized request
+    # is not made, since whether numpy refuses it at once depends on overcommit
+    message = "Unable to allocate 477. GiB for an array with shape (8, 8, 1000000000)"
+
+    def refuse(*args):
+        raise MemoryError(message)
+
+    hr = write_phantom(tmp_path, size=16)
+    monkeypatch.setattr(preprocess, "preprocess", refuse)
+    capsys.readouterr()
+    assert dispatch(["preprocess", "--bins", "1000000000", str(hr), str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
 # (flag set to a non-default value, other flags of both runs) per command;
 # degrade draws offsets, and so reads --seed, only at a --max-offset above 0
 FLAG_CASES = {

@@ -26,6 +26,54 @@ def brute_force_blur(data, sigma):
     return out
 
 
+def reference_clahe(image, cfg):
+    """Per-tile loop and four-term bilinear blend: one clipped histogram and
+    one equalization table per tile, then the four corner terms written out."""
+    rows, cols = cfg.clahe_tiles
+    bins = cfg.clahe_bins
+    y_edges = np.rint(np.linspace(0, image.height, rows + 1)).astype(int)
+    x_edges = np.rint(np.linspace(0, image.width, cols + 1)).astype(int)
+
+    bin_idx = np.minimum((image.data * bins).astype(int), bins - 1)
+    tables = np.empty((rows, cols, bins))
+    for r in range(rows):
+        for c in range(cols):
+            tile = bin_idx[y_edges[r] : y_edges[r + 1], x_edges[c] : x_edges[c + 1]]
+            hist = np.bincount(tile.ravel(), minlength=bins).astype(np.float64)
+            ceiling = cfg.clahe_clip_limit * tile.size
+            excess = np.maximum(hist - ceiling, 0.0).sum()
+            hist = np.minimum(hist, ceiling) + excess / bins
+            cdf = np.cumsum(hist)
+            tables[r, c] = cdf / cdf[-1]
+
+    y_centers = (y_edges[:-1] + y_edges[1:] - 1) / 2.0
+    x_centers = (x_edges[:-1] + x_edges[1:] - 1) / 2.0
+
+    def axis_blend(coords, centers):
+        hi = np.searchsorted(centers, coords).clip(0, len(centers) - 1)
+        lo = np.maximum(hi - 1, 0)
+        span = centers[hi] - centers[lo]
+        w = np.where(span > 0, (coords - centers[lo]) / np.where(span > 0, span, 1), 0.0)
+        return lo, hi, np.clip(w, 0.0, 1.0)
+
+    r_lo, r_hi, wy = axis_blend(np.arange(image.height, dtype=np.float64), y_centers)
+    c_lo, c_hi, wx = axis_blend(np.arange(image.width, dtype=np.float64), x_centers)
+
+    rl = r_lo[:, None]
+    rh = r_hi[:, None]
+    cl = c_lo[None, :]
+    ch = c_hi[None, :]
+    wy2 = wy[:, None]
+    wx2 = wx[None, :]
+    out = (
+        (1 - wy2) * (1 - wx2) * tables[rl, cl, bin_idx]
+        + (1 - wy2) * wx2 * tables[rl, ch, bin_idx]
+        + wy2 * (1 - wx2) * tables[rh, cl, bin_idx]
+        + wy2 * wx2 * tables[rh, ch, bin_idx]
+    )
+    return np.clip(out, 0.0, 1.0)
+
+
 def global_he_oracle(data, bins):
     """Plain global histogram equalization: v -> cdf(bin(v)) / N."""
     idx = np.minimum((data * bins).astype(int), bins - 1)
@@ -125,6 +173,19 @@ class TestClahe:
         once = clahe(Image(np.full((16, 16), 0.6)), cfg)
         twice = clahe(once, cfg)
         assert once == twice
+
+    @pytest.mark.parametrize("shape, tiles, bins, clip", [
+        ((960, 1280), (8, 8), 256, 0.005),
+        ((61, 97), (3, 5), 64, 0.02),  # uneven tiles
+        ((40, 6), (2, 2), 2, 0.5),
+        ((11, 11), (1, 1), 256, 0.005),
+        ((80, 96), (8, 8), 65536, 0.005),
+    ])
+    def test_bit_equal_to_per_tile_reference(self, shape, tiles, bins, clip):
+        cfg = PreprocessConfig(clahe_clip_limit=clip, clahe_tiles=tiles, clahe_bins=bins)
+        img = gaussian_blur(Image(np.random.default_rng(29).uniform(0, 1, shape)), 2.0)
+        np.testing.assert_array_equal(clahe(img, cfg).data, reference_clahe(img, cfg),
+                                      strict=True)
 
 
 class TestPreprocessPipeline:

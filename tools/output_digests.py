@@ -8,10 +8,11 @@ trees can be compared for byte identity:
 
 Every command runs as `python -m endosim.cli` in a temporary directory with
 the caller's environment, so the endosim found on PYTHONPATH is the one
-measured. The runs cover phantom, preprocess, degrade (max offset 0 and 2,
-with the sparse frame and the sample log, and m=4 s=10 d=6 um with the sample
-log: an odd gap of 3 px, regions clamped to the frame and a 1-pixel strip
-without fibers), train with a history on 8x64x64 batches (two whole-image
+measured. The runs cover phantom, preprocess (the defaults, a 3x5 grid of
+uneven tiles at 64 bins and clip 0.02, and 65536 bins), degrade (max offset 0
+and 2, with the sparse frame and the sample log, and m=4 s=10 d=6 um with the
+sample log: an odd gap of 3 px, regions clamped to the frame and a 1-pixel
+strip without fibers), train with a history on 8x64x64 batches (two whole-image
 units, so train's thread pool runs on the main thread), on batches of 16 and
 4 64x64 patches (four units, then one, each handed to the pool) and on
 batches of 2 160x160 patches (over 2**14 pixels each, so every patch is cut
@@ -96,6 +97,9 @@ def run(root: Path) -> list[str]:
     stdout = []
     endosim(root, "phantom", "--width", "96", "--height", "80", "--seed", "1", "hr.pgm")
     endosim(root, "preprocess", "hr.pgm", "pre.pgm")
+    endosim(root, "preprocess", "--tiles", "3", "5", "--bins", "64", "--clip-limit", "0.02",
+            "hr.pgm", "pre_uneven.pgm")
+    endosim(root, "preprocess", "--bins", "65536", "hr.pgm", "pre_65536.pgm")
     for d in ("0", "2"):
         endosim(root, "degrade", "--max-offset", d, "--emit-sparse", f"sparse{d}.pgm",
                 "--emit-samples", f"samples{d}.csv", "hr.pgm", f"lr{d}.pgm")
