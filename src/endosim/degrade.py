@@ -24,7 +24,6 @@ __all__ = [
     "DegradedPair",
     "grid_geometry",
     "degrade",
-    "identity_check",
 ]
 
 
@@ -132,14 +131,3 @@ def degrade(
     # overlapping ROIs copy the same source pixels, so write order is moot
     sparse[iy, ix] = pixels
     return DegradedPair(sparse=Image(sparse), lr=Image(lr), samples=samples)
-
-
-def identity_check(image: Image) -> Image:
-    """Degenerate 1-pixel fibers with no gaps reproduce the input exactly."""
-    cfg = DegradationConfig(
-        pixel_size_um=1.0,
-        fiber_diameter_um=1.0,
-        inter_fiber_distance_um=1.0,
-        max_offset_um=0.0,
-    )
-    return degrade(image, cfg, np.random.default_rng(0)).lr

@@ -91,18 +91,16 @@ def load_pgm(blob: bytes) -> Image:
         raise ImageError(f"invalid dimensions {width}x{height}")
     if maxval not in (255, 65535):
         raise ImageError(f"unsupported maxval {maxval}")
-    dtype = np.dtype(">u2") if maxval == 65535 else np.dtype("u1")
-    count = width * height
-    payload = blob[offset : offset + count * dtype.itemsize]
-    if len(payload) < count * dtype.itemsize:
+    dtype = np.dtype(">u2" if maxval == 65535 else "u1")
+    if len(blob) - offset < width * height * dtype.itemsize:
         raise ImageError("truncated payload")
-    samples = np.frombuffer(payload, dtype=dtype, count=count)
-    data = samples.astype(np.float64).reshape(height, width) / maxval
-    return Image(data)
+    samples = np.frombuffer(blob, dtype, width * height, offset)  # a view: no copy of the raster
+    return Image(np.divide(samples, maxval, dtype=np.float64).reshape(height, width))
 
 
 def save_pgm(image: Image) -> bytes:
     """Encode an Image as a 16-bit binary PGM; quantization is round-to-nearest."""
-    samples = np.rint(image.data * 65535).astype(">u2")
+    scaled = np.multiply(image.data, 65535)
+    samples = np.rint(scaled, out=scaled).astype(">u2")
     header = f"P5\n{image.width} {image.height}\n65535\n".encode("ascii")
-    return header + samples.tobytes()
+    return header + samples.data  # the raster's own buffer, not a tobytes() copy

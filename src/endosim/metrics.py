@@ -14,6 +14,7 @@ import numpy as np
 
 from .image import Image
 from .preprocess import _window_product
+from .srcnn import _frame_bands
 
 __all__ = ["psnr", "ssim"]
 
@@ -43,26 +44,32 @@ def ssim(reference: Image, test: Image) -> float:
         raise ValueError("ssim requires equal image dimensions")
     if min(reference.data.shape) < SSIM_WINDOW:
         raise ValueError("image smaller than the SSIM window")
-    x, y = reference.data, test.data
-    # num = (2 mu_x mu_y + C1) (2 cov + C2), den = (mu_x^2 + mu_y^2 + C1) (var_x + var_y + C2),
-    # in place and in this order; cov is freed first, so var's products run beside 4 maps, not 5
-    mu_x, mu_y = _window_product(x, _WINDOW_1D), _window_product(y, _WINDOW_1D)
-    num = mu_x * mu_y
-    den, sq_y = np.square(mu_x, out=mu_x), np.square(mu_y, out=mu_y)
-    cov = _window_product(x * y, _WINDOW_1D)
-    cov -= num
-    num *= 2.0
-    num += SSIM_C1
-    cov *= 2.0
-    cov += SSIM_C2
-    num *= cov
-    del cov
-    var = _window_product(x * x, _WINDOW_1D)
-    var -= den
-    var += _window_product(y * y, _WINDOW_1D) - sq_y
-    den += sq_y
-    den += SSIM_C1
-    var += SSIM_C2
-    den *= var
-    num /= den
-    return float(np.mean(num))
+
+    def band(rows: slice) -> np.ndarray:
+        x, y = (a[rows.start : rows.stop + SSIM_WINDOW - 1] for a in (reference.data, test.data))
+        # num = (2 mu_x mu_y + C1) (2 cov + C2), den = (mu_x^2 + mu_y^2 + C1) (var_x + var_y + C2),
+        # in place and in this order; cov is freed first, so var's products run beside 4 maps, not 5
+        mu_x, mu_y = _window_product(x, _WINDOW_1D), _window_product(y, _WINDOW_1D)
+        num = mu_x * mu_y
+        den, sq_y = np.square(mu_x, out=mu_x), np.square(mu_y, out=mu_y)
+        cov = _window_product(x * y, _WINDOW_1D)
+        cov -= num
+        num *= 2.0
+        num += SSIM_C1
+        cov *= 2.0
+        cov += SSIM_C2
+        num *= cov
+        del cov
+        var = _window_product(x * x, _WINDOW_1D)
+        var -= den
+        var += _window_product(y * y, _WINDOW_1D) - sq_y
+        den += sq_y
+        den += SSIM_C1
+        var += SSIM_C2
+        den *= var
+        num /= den
+        return num
+
+    # in the layout _window_product returns, so np.mean sums in the whole map's order
+    shape = tuple(n - SSIM_WINDOW + 1 for n in reference.data.shape)
+    return float(np.mean(_frame_bands(band, shape, order="F")))

@@ -16,6 +16,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .image import Image
+from .srcnn import _frame_bands
 
 __all__ = ["PreprocessConfig", "gaussian_blur", "clahe", "preprocess"]
 
@@ -63,8 +64,16 @@ def gaussian_blur(image: Image, sigma_px: float) -> Image:
     """Separable Gaussian smoothing with mirror (symmetric) boundaries; a pad
     wider than the image reflects again."""
     kernel = gaussian_kernel(sigma_px)
-    out = _window_product(np.pad(image.data, len(kernel) // 2, mode="symmetric"), kernel)
-    return Image(np.clip(out, 0.0, 1.0, out=out))
+    r, h = len(kernel) // 2, image.height
+
+    def band(rows: slice) -> np.ndarray:
+        # the rows with their halo, padded where it passes the image's edge
+        lo, hi = max(rows.start - r, 0), min(rows.stop + r, h)
+        pad = ((lo - rows.start + r, rows.stop + r - hi), (r, r))
+        out = _window_product(np.pad(image.data[lo:hi], pad, mode="symmetric"), kernel)
+        return np.clip(out, 0.0, 1.0, out=out)
+
+    return Image(_frame_bands(band, image.data.shape))
 
 
 def _tile_edges(extent: int, count: int) -> np.ndarray:
@@ -107,10 +116,15 @@ def clahe(image: Image, cfg: PreprocessConfig) -> Image:
         w = np.clip(w, 0.0, 1.0)
         return (lo, 1 - w), (hi, w)
 
-    out = 0.0  # out + term reuses the term's buffer; sum() would hold one more frame
-    for (r, wy), (c, wx) in product(axis_blend(y_edges), axis_blend(x_edges)):
-        out = out + wy[:, None] * wx * tables[r[:, None], c, bin_idx]
-    return Image(np.clip(out, 0.0, 1.0, out=out))
+    y_blend, x_blend = axis_blend(y_edges), axis_blend(x_edges)
+
+    def blend(rows: slice) -> np.ndarray:
+        out = 0.0  # out + term reuses the term's buffer; sum() would hold one more band
+        for (r, wy), (c, wx) in product(y_blend, x_blend):
+            out = out + wy[rows, None] * wx * tables[r[rows, None], c, bin_idx[rows]]
+        return np.clip(out, 0.0, 1.0, out=out)
+
+    return Image(_frame_bands(blend, image.data.shape))
 
 
 def preprocess(image: Image, cfg: PreprocessConfig) -> Image:

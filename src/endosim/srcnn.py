@@ -222,6 +222,9 @@ _TILE_PIXELS = 14336
 _BAND_PIXELS = 3 * 2**16
 # pixels per training unit; a batch of smaller images puts several in one
 _SHARD_PIXELS = 2**14
+# rows per frame-stage band, and the fewest in a last band (fewer join the one before):
+# with README's CPU and OpenBLAS, 8, 16, 32, 64 or 128 rows gave the whole frame's bits
+_FRAME_ROWS, _FRAME_MIN_ROWS = 64, 8
 
 
 def _units(n: int, h: int, w: int, budget: int) -> list[tuple[slice, int, int]]:
@@ -236,6 +239,21 @@ def _units(n: int, h: int, w: int, budget: int) -> list[tuple[slice, int, int]]:
     rows = max(1, budget // w)
     return [(slice(i, i + 1), top, min(top + rows, h))
             for i in range(n) for top in range(0, h, rows)]
+
+
+def _frame_bands(fn, shape: tuple[int, int], order: str = "C") -> np.ndarray:
+    """The array of shape that fn(rows) gives row by row, fn reading the rows' halo itself:
+    fn of all rows, returned as it is, up to _BAND_PIXELS pixels; above, bands _map'ped
+    over a _job_pool, each copied into one array in the given order."""
+    h, w = shape
+    if h * w <= _BAND_PIXELS:
+        return fn(slice(0, h))
+    out = np.empty(shape, order=order)
+    tops = range(0, max(h - _FRAME_MIN_ROWS + 1, 1), _FRAME_ROWS)
+    with _job_pool(len(tops)) as pool:
+        _map(lambda rows: np.copyto(out[rows], fn(rows)),
+             [slice(top, bottom) for top, bottom in zip(tops, [*tops[1:], h])], pool)
+    return out
 
 
 def _map(fn, items: list, pool: Executor | None) -> list:

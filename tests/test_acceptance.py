@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from endosim.degrade import DegradationConfig, degrade, identity_check
+from endosim.degrade import DegradationConfig, degrade
 from endosim.image import Image
 from endosim.metrics import psnr, ssim
 from endosim.phantom import PhantomSpec, generate_phantom
@@ -117,7 +117,7 @@ def test_criterion_1_degradation_oracle(capsys):
 # 2. Identity degradation
 
 
-def test_criterion_2_identity_degradation(capsys):
+def test_criterion_2_identity_degradation(capsys, identity_check):
     rng = np.random.default_rng(2)
     img = Image(rng.uniform(0, 1, (24, 31)))
     exact = identity_check(img) == img

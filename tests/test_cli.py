@@ -59,7 +59,15 @@ class TestPhantomDegradePipeline:
         assert sparse.exists()
 
     def test_samples_csv_matches_sample_log(self, tmp_path):
-        hr = write_phantom(tmp_path)
+        self.check_samples_csv(tmp_path, size=64)
+
+    def test_samples_csv_over_several_blocks_matches_sample_log(self, tmp_path):
+        # 65 x 65 fibers: more rows than one block of the writer (4096)
+        self.check_samples_csv(tmp_path, size=260)
+
+    @staticmethod
+    def check_samples_csv(tmp_path, size):
+        hr = write_phantom(tmp_path, size=size)
         lr, samples = tmp_path / "lr.pgm", tmp_path / "samples.csv"
         assert dispatch([
             "degrade", "--fiber-diameter", "4", "--inter-fiber-distance", "8",

@@ -1,12 +1,7 @@
 import numpy as np
 import pytest
 
-from endosim.degrade import (
-    DegradationConfig,
-    degrade,
-    grid_geometry,
-    identity_check,
-)
+from endosim.degrade import DegradationConfig, degrade, grid_geometry
 from endosim.image import Image
 
 
@@ -173,11 +168,11 @@ class TestDegrade:
 
 
 class TestIdentityCheck:
-    def test_small_random(self):
+    def test_small_random(self, identity_check):
         rng = np.random.default_rng(61)
         img = Image(rng.uniform(0, 1, (7, 7)))
         assert identity_check(img) == img
 
-    def test_any_shape(self):
+    def test_any_shape(self, identity_check):
         img = Image(np.random.default_rng(67).uniform(0, 1, (13, 9)))
         assert identity_check(img) == img

@@ -1,10 +1,12 @@
 import math
+import os
 
 import numpy as np
 import pytest
 
+from endosim import srcnn
 from endosim.image import Image
-from endosim.metrics import SSIM_C1, SSIM_C2, SSIM_SIGMA, SSIM_WINDOW, psnr, ssim
+from endosim.metrics import _WINDOW_1D, SSIM_C1, SSIM_C2, SSIM_SIGMA, SSIM_WINDOW, psnr, ssim
 from endosim.preprocess import _window_product, gaussian_blur, gaussian_kernel
 from endosim.srcnn import _pool
 
@@ -42,6 +44,31 @@ def brute_force_ssim(x, y):
                 / ((mx * mx + my * my + c1) * (vx + vy + c2))
             )
     return float(np.mean(vals))
+
+
+def reference_ssim(x, y):
+    """The whole-frame form of ssim: five frame-sized local-mean maps, one
+    np.mean over the map in the layout _window_product returns."""
+    mu_x, mu_y = _window_product(x, _WINDOW_1D), _window_product(y, _WINDOW_1D)
+    num = mu_x * mu_y
+    den, sq_y = np.square(mu_x, out=mu_x), np.square(mu_y, out=mu_y)
+    cov = _window_product(x * y, _WINDOW_1D)
+    cov -= num
+    num *= 2.0
+    num += SSIM_C1
+    cov *= 2.0
+    cov += SSIM_C2
+    num *= cov
+    del cov
+    var = _window_product(x * x, _WINDOW_1D)
+    var -= den
+    var += _window_product(y * y, _WINDOW_1D) - sq_y
+    den += sq_y
+    den += SSIM_C1
+    var += SSIM_C2
+    den *= var
+    num /= den
+    return float(np.mean(num))
 
 
 def brute_force_window_sum(a, taps):
@@ -162,3 +189,27 @@ class TestWindowProductsOnThreads:
             worker_ssim, worker_blur = pool.submit(scores).result()
         assert main_ssim == worker_ssim
         np.testing.assert_array_equal(main_blur, worker_blur)
+
+
+class TestBandedSsim:
+    # the SSIM map in 64-row bands with their 10-row window overlap, on the
+    # main thread's pool and serially in a _pool worker (a sweep cell), against
+    # the whole-frame map: the same bits, and the same summation order in np.mean
+    @pytest.mark.parametrize("shape", [
+        (960, 1280),
+        (700, 1000),  # a map of 690 rows: a last band of 50
+        (203, 1280),  # a map one row taller than three bands: a last band of 65
+        (11, 64),  # a map of one row; run whole
+        (517, 300),  # under _BAND_PIXELS; run whole
+    ])
+    def test_equals_whole_frame_reference(self, recording_pool, shape):
+        rng = np.random.default_rng(32)
+        x = rng.uniform(0, 1, shape)
+        y = np.clip(x + rng.normal(0, 0.1, shape), 0, 1)
+        expected = reference_ssim(x, y)
+        assert ssim(Image(x), Image(y)) == expected
+        banded = (shape[0] - SSIM_WINDOW + 1) * (shape[1] - SSIM_WINDOW + 1) > srcnn._BAND_PIXELS
+        if srcnn._openblas_thread_fns() and len(os.sched_getaffinity(0)) >= 2:
+            assert bool(recording_pool) == banded
+        with srcnn._pool(2) as pool:
+            assert pool.submit(ssim, Image(x), Image(y)).result() == expected

@@ -1,10 +1,15 @@
+import os
+
 import numpy as np
 import pytest
 from scipy.ndimage import correlate1d
 
+from endosim import srcnn
 from endosim.image import Image
+from endosim.metrics import ssim
 from endosim.preprocess import (
     PreprocessConfig,
+    _window_product,
     clahe,
     gaussian_blur,
     gaussian_kernel,
@@ -24,6 +29,14 @@ def brute_force_blur(data, sigma):
         for j in range(w):
             out[i, j] = np.sum(k2 * padded[i : i + 2 * r + 1, j : j + 2 * r + 1])
     return out
+
+
+def reference_blur(data, sigma):
+    """The whole-frame form of gaussian_blur: one symmetric pad of the frame,
+    one window product over it."""
+    kernel = gaussian_kernel(sigma)
+    out = _window_product(np.pad(data, len(kernel) // 2, mode="symmetric"), kernel)
+    return np.clip(out, 0.0, 1.0, out=out)
 
 
 def reference_clahe(image, cfg):
@@ -186,6 +199,40 @@ class TestClahe:
         img = gaussian_blur(Image(np.random.default_rng(29).uniform(0, 1, shape)), 2.0)
         np.testing.assert_array_equal(clahe(img, cfg).data, reference_clahe(img, cfg),
                                       strict=True)
+
+
+class TestBandedFrames:
+    # the blur and the CLAHE blend in 64-row bands, on the main thread's pool
+    # and serially in a _pool worker (a sweep cell), against the whole frame
+    @pytest.mark.parametrize("shape", [
+        (960, 1280),
+        (700, 1000),  # a last band of 60 rows
+        (193, 1280),  # one row taller than three bands: a last band of 65
+        (517, 300),  # under _BAND_PIXELS; run whole
+    ])
+    def test_equal_whole_frame_references(self, recording_pool, shape):
+        cfg = PreprocessConfig()
+        data = np.random.default_rng(33).uniform(0, 1, shape)
+        blurred = reference_blur(data, cfg.gaussian_sigma_px)
+        equalized = reference_clahe(Image(blurred), cfg)
+
+        def stages():
+            blur = gaussian_blur(Image(data), cfg.gaussian_sigma_px)
+            return blur.data, clahe(blur, cfg).data
+
+        for got, expected in zip(stages(), (blurred, equalized)):
+            np.testing.assert_array_equal(got, expected, strict=True)
+        if srcnn._openblas_thread_fns() and len(os.sched_getaffinity(0)) >= 2:
+            assert bool(recording_pool) == (data.size > srcnn._BAND_PIXELS)
+        with srcnn._pool(2) as pool:
+            for got, expected in zip(pool.submit(stages).result(), (blurred, equalized)):
+                np.testing.assert_array_equal(got, expected, strict=True)
+
+    def test_small_frame_starts_no_pool(self, recording_pool):
+        # a sweep cell's and frame_hd set-up's 128x128 frames run whole and inline
+        img = Image(np.random.default_rng(34).uniform(0, 1, (128, 128)))
+        ssim(img, preprocess(img, PreprocessConfig()))
+        assert recording_pool == []
 
 
 class TestPreprocessPipeline:

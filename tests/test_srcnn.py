@@ -381,6 +381,30 @@ class TestShards:
         assert [b - t for _, t, b in frame] == [153] * 6 + [42]
         assert srcnn._units(0, 8, 8, budget) == []
 
+    def test_frame_band_rule(self):
+        # the band height the frame stages' oracles (test_metrics, test_preprocess)
+        # were checked at; a frame of at most _BAND_PIXELS runs whole, and a last
+        # band under 8 rows (1 to 3 changed the blur's bits) joins the one before
+        assert (srcnn._FRAME_ROWS, srcnn._FRAME_MIN_ROWS) == (64, 8)
+
+        def spans(h, w):
+            seen = []
+
+            def fn(rows):
+                seen.append(rows)
+                return np.full((rows.stop - rows.start, w), rows.start, dtype=float)
+
+            out = srcnn._frame_bands(fn, (h, w))
+            assert out.shape == (h, w) and all((out[r] == r.start).all() for r in seen)
+            return sorted((r.start, r.stop) for r in seen)
+
+        assert spans(128, 128) == [(0, 128)]
+        assert spans(960, 1280) == [(t, t + 64) for t in range(0, 960, 64)]
+        assert spans(700, 1000) == [(t, t + 64) for t in range(0, 640, 64)] + [(640, 700)]
+        assert spans(193, 1280) == [(0, 64), (64, 128), (128, 193)]
+        assert spans(200, 1280) == [(0, 64), (64, 128), (128, 192), (192, 200)]
+        assert spans(3, 10**5) == [(0, 3)]
+
     @pytest.mark.parametrize("n, height, width, band_rows", [
         (1, 40, 12, 8),  # five bands
         (1, 37, 12, 8),  # last band (5 rows) shorter than the halo (6 rows)

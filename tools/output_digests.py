@@ -22,7 +22,10 @@ profile, a 4-cell sweep at --threads 1 and 2, readerstats and samplesize. A
 sparse frame and the sample log, metrics of the preprocessed frame against
 the LR one, infer with the 8x64x64 model, then metrics of the preprocessed
 frame against the SR one) checks every frame stage at full-frame size,
-infer over several bands of several tiles each, run on its thread pool. Two
+infer over several bands of several tiles each, run on its thread pool. A
+1000x700 chain (phantom, preprocess, then metrics of the phantom against the
+preprocessed frame) runs the blur, the CLAHE blend and SSIM in row bands on
+their thread pool, each with a last band shorter than the others. Two
 edge shapes of the separable window product follow: a 1x1-tile preprocess of
 a 6x40 frame, narrower than the 17-tap blur kernel, so its 8-pixel mirror pad
 is wider than the frame, and metrics of a 64x11 pair, whose height equals the
@@ -138,6 +141,14 @@ def run(root: Path) -> list[str]:
     endosim(root, "infer", "model.weights", "hd_lr.pgm", "hd_sr.pgm")
     stdout.append("metrics hd sr: " + endosim(root, "metrics", "hd_pre.pgm",
                                               "hd_sr.pgm").strip())
+
+    # 700 rows: blur and CLAHE bands of 64 rows and a last one of 60; the SSIM
+    # map's 690 rows: bands of 64 and a last one of 50; all on the thread pool
+    endosim(root, "phantom", "--width", "1000", "--height", "700", "--seed", "1001",
+            "mid_hr.pgm")
+    endosim(root, "preprocess", "mid_hr.pgm", "mid_pre.pgm")
+    stdout.append("metrics mid: " + endosim(root, "metrics", "mid_hr.pgm",
+                                            "mid_pre.pgm").strip())
 
     endosim(root, "phantom", "--width", "6", "--height", "40", "--seed", "3000",
             "narrow_hr.pgm")
